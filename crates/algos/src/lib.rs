@@ -5,7 +5,8 @@
 //! partition-centric implementation built on the same [`hipa_core::PcpmLayout`]
 //! scatter/gather machinery (compressed inter-edges, cache-sized partitions,
 //! disjoint per-thread ownership), demonstrating that the hierarchical
-//! partitioning generalises exactly as the paper claims.
+//! partitioning generalises exactly as the paper claims. [`topk`] holds the
+//! rank order every top-k consumer shares.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod bfs;
@@ -14,6 +15,7 @@ pub mod ppr;
 pub mod prdelta;
 pub mod spmv;
 pub mod spmv_sim;
+pub mod topk;
 pub mod wspmv;
 
 pub use bfs::{bfs_levels, bfs_partition_centric};
@@ -25,4 +27,5 @@ pub use ppr::{
 pub use prdelta::{pagerank_delta, PrDeltaConfig, PrDeltaResult};
 pub use spmv::{spmv_partition_centric, spmv_reference, SpmvWorkspace};
 pub use spmv_sim::{spmv_sim, SpmvSimRun};
+pub use topk::{rank_order, top_k};
 pub use wspmv::{wspmv_partition_centric, wspmv_reference, WeightedPcpm};

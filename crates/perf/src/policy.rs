@@ -113,6 +113,17 @@ mod tests {
     }
 
     #[test]
+    fn epoch_stage_timings_are_advisory_times() {
+        for stage in ["csr", "layout", "rerank", "order"] {
+            for q in ["p50", "p95", "p99", "max", "mean"] {
+                let name = format!("serve.epoch.{stage}.{q}_ns");
+                assert_eq!(counter_class(&name), MetricClass::Advisory, "{name}");
+                assert_eq!(higher_is_worse(&name), Some(true), "{name}");
+            }
+        }
+    }
+
+    #[test]
     fn phases_classify_by_unit_and_kind() {
         assert_eq!(phase_class("cycles", "scatter"), MetricClass::Deterministic);
         assert_eq!(phase_class("ns", "scatter"), MetricClass::Advisory);

@@ -5,11 +5,13 @@
 //! of it. A [`Server`] holds one immutable preprocessed state per graph
 //! epoch — the graph, the PCPM layout + `hipa_plan` ownership
 //! ([`hipa_core::PcpmPrepared`]), the resident worker pool, and converged
-//! global ranks — and serves three request classes through an admission
-//! queue and a batch scheduler:
+//! global ranks sorted once into rank order — and serves three request
+//! classes:
 //!
-//! * **Top-k lookups** ([`Request::TopK`]) answered directly from the
-//!   resident global ranks;
+//! * **Top-k lookups** ([`Request::TopK`]) answered inside
+//!   [`Server::submit`], on the caller's thread, as a prefix of the newest
+//!   published epoch's rank order: no sort, no queue, no waiting behind a
+//!   sweep or a rebuild;
 //! * **Personalized PageRank** ([`Request::Ppr`]): many user source sets are
 //!   grouped and advanced through **one multi-vector partition-centric
 //!   sweep** per power iteration ([`hipa_algos::PprSolver::solve_batch`]),
@@ -20,12 +22,17 @@
 //! * **Edge streaming** ([`Request::AddEdges`]): updates are committed as
 //!   *delta epochs* — all reads drained in the same scheduling cycle are
 //!   answered against the old state first, then the graph is rebuilt and
-//!   re-ranked via PageRank-Delta ([`hipa_algos::pagerank_delta`]) and the
-//!   epoch counter advances.
+//!   re-ranked via PageRank-Delta ([`hipa_algos::pagerank_delta`]), the new
+//!   epoch's rank order is published, and only then are the writers
+//!   acknowledged.
+//!
+//! Personalized PageRank and edge updates go through an admission queue
+//! and a single batch scheduler thread.
 //!
 //! Invalid user input (out-of-range personalization seeds or edge
 //! endpoints) yields [`Response::Error`] instead of a server panic. Latency
-//! histograms (p50/p95/p99), throughput and queue-depth gauges accumulate
+//! histograms (p50/p95/p99), epoch-build stage times, throughput and
+//! queue-depth gauges accumulate
 //! in [`ServeStats`] and export into a `RunTrace` via `hipa-obs`
 //! ([`ServeStats::export_into`]); the deterministic open-loop load
 //! generator lives in [`loadgen`]. An opt-in background [`sampler`]

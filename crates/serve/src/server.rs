@@ -1,20 +1,25 @@
 //! The resident rank server: one scheduler thread, an admission queue, and
 //! one immutable preprocessed state per graph epoch.
 //!
-//! Requests enter through [`Server::submit`] (any thread) and park on a
-//! ticket; the scheduler drains the queue in arrival order, answers top-k
-//! lookups from the resident global ranks, groups personalized-PageRank
-//! source sets into **one multi-vector partition-centric sweep** per batch
-//! chunk (amortizing the graph pass across the whole batch), and commits
-//! streamed edge updates as a *delta epoch* only after every read drained in
-//! the same cycle has been answered — readers never observe a half-updated
-//! graph. Invalid user input (out-of-range seeds or endpoints) produces an
-//! error response instead of killing the server.
+//! Top-k lookups never enter the queue: each epoch publishes a `RankView`
+//! (its global ranks, sorted once into rank order), and
+//! [`Server::submit`] answers a top-k on the caller's thread by copying a
+//! prefix of the newest published view. Everything else parks on a ticket;
+//! the scheduler drains the queue in arrival order, groups
+//! personalized-PageRank source sets into **one multi-vector
+//! partition-centric sweep** per batch chunk (amortizing the graph pass
+//! across the whole batch), and commits streamed edge updates as a *delta
+//! epoch* only after every read drained in the same cycle has been answered
+//! — readers never observe a half-updated graph. A new epoch's view is
+//! published before its writers are acknowledged, so a writer's next top-k
+//! sees its own edges. Invalid user input (out-of-range seeds or endpoints)
+//! produces an error response instead of killing the server.
 
 use crate::sampler::{SampleFrame, SamplerConfig};
 use crate::stats::ServeStats;
 use hipa_algos::{
-    pagerank_delta, teleport_from_seeds, PersonalizedConfig, PprSolver, PrDeltaConfig,
+    pagerank_delta, rank_order, teleport_from_seeds, top_k, PersonalizedConfig, PprSolver,
+    PrDeltaConfig,
 };
 use hipa_core::PcpmPrepared;
 use hipa_graph::{DiGraph, EdgeList};
@@ -96,11 +101,18 @@ struct TicketInner {
     cv: Condvar,
 }
 
+impl TicketInner {
+    fn fill(&self, resp: Response) {
+        *self.slot.lock().expect("ticket slot poisoned") = Some(resp);
+        self.cv.notify_all();
+    }
+}
+
 /// A pending response; blocks on [`wait`](Ticket::wait).
 pub struct Ticket(Arc<TicketInner>);
 
 impl Ticket {
-    /// Blocks until the scheduler answers.
+    /// Blocks until the response is there (a top-k's is there at submit).
     pub fn wait(self) -> Response {
         let mut slot = self.0.slot.lock().unwrap();
         while slot.is_none() {
@@ -110,10 +122,22 @@ impl Ticket {
     }
 }
 
-struct Pending {
-    req: Request,
+/// The work a queued request asks of the scheduler. Top-k lookups are
+/// answered at submit, so the queue has no way to hold one.
+enum Job {
+    Ppr { sources: Vec<u32>, k: usize },
+    AddEdges { edges: Vec<(u32, u32)> },
+}
+
+/// Where and since when a queued request awaits its response.
+struct Reply {
     ticket: Arc<TicketInner>,
     submitted: Instant,
+}
+
+struct Pending {
+    job: Job,
+    reply: Reply,
 }
 
 struct QueueState {
@@ -121,10 +145,28 @@ struct QueueState {
     shutdown: bool,
 }
 
+/// One epoch's global ranks and their rank order (rank descending, ties by
+/// index, the order of [`hipa_algos::top_k`]), immutable once built. A
+/// top-k answer is a prefix of `order`.
+struct RankView {
+    ranks: Vec<f32>,
+    order: Vec<u32>,
+    epoch: u64,
+}
+
+impl RankView {
+    fn top_k(&self, k: usize) -> Vec<(u32, f32)> {
+        self.order.iter().take(k).map(|&v| (v, self.ranks[v as usize])).collect()
+    }
+}
+
 struct Shared {
     queue: Mutex<QueueState>,
     cv: Condvar,
     stats: ServeStats,
+    /// The newest published epoch's view. Readers clone the `Arc` under the
+    /// lock and read outside it; the scheduler swaps in each new epoch.
+    view: Mutex<Arc<RankView>>,
 }
 
 /// The resident rank server. Construct with [`Server::start`]; submit from
@@ -156,44 +198,52 @@ pub fn edge_list_of(g: &DiGraph) -> EdgeList {
     edges
 }
 
-/// Indices of the `k` highest-ranked vertices, descending, ties by index —
-/// same contract as the facade crate's `top_k`.
-fn top_k(ranks: &[f32], k: usize) -> Vec<(u32, f32)> {
-    let mut idx: Vec<u32> = (0..ranks.len() as u32).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        ranks[b as usize].partial_cmp(&ranks[a as usize]).unwrap().then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx.into_iter().map(|v| (v, ranks[v as usize])).collect()
-}
-
 /// Everything the scheduler owns for one graph epoch.
 struct EpochState {
     edges: EdgeList,
     solver: PprSolver,
-    ranks: Vec<f32>,
-    epoch: u64,
+    view: Arc<RankView>,
 }
 
 impl EpochState {
-    fn build(edges: EdgeList, cfg: &ServeConfig, epoch: u64) -> EpochState {
+    /// Builds one epoch, recording each stage's time in `stats`.
+    fn build(edges: EdgeList, cfg: &ServeConfig, epoch: u64, stats: &ServeStats) -> EpochState {
+        let stage = |h: &hipa_obs::Histogram, t: Instant| h.record(t.elapsed().as_nanos() as u64);
+        let t = Instant::now();
         let g = DiGraph::from_edge_list(&edges);
+        stage(&stats.epoch_csr, t);
+        let t = Instant::now();
         let prepared = Arc::new(PcpmPrepared::build(&g, cfg.threads, cfg.verts_per_partition));
         let solver = PprSolver::from_prepared(prepared, &cfg.ppr);
+        stage(&stats.epoch_layout, t);
+        let t = Instant::now();
         let ranks = pagerank_delta(&g, &cfg.delta).ranks;
-        EpochState { edges, solver, ranks, epoch }
+        stage(&stats.epoch_rerank, t);
+        let t = Instant::now();
+        let order = rank_order(&ranks);
+        stage(&stats.epoch_order, t);
+        EpochState { edges, solver, view: Arc::new(RankView { ranks, order, epoch }) }
+    }
+
+    fn epoch(&self) -> u64 {
+        self.view.epoch
     }
 }
 
 impl Server {
-    /// Builds the resident state (one layout build, one converged global
-    /// rank vector, one worker pool) and starts the scheduler thread.
+    /// Builds epoch 0 on the calling thread (one layout build, one
+    /// converged global rank vector and its rank order, one worker pool),
+    /// then starts the scheduler thread. A failure in that build panics
+    /// here, in the caller, and no thread is left behind.
     pub fn start(edges: EdgeList, cfg: ServeConfig) -> Server {
         let num_vertices = edges.num_vertices();
+        let stats = ServeStats::default();
+        let state = EpochState::build(edges, &cfg, 0, &stats);
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState { pending: VecDeque::new(), shutdown: false }),
             cv: Condvar::new(),
-            stats: ServeStats::default(),
+            stats,
+            view: Mutex::new(Arc::clone(&state.view)),
         });
         let sampler = cfg.sampler.clone().map(|scfg| {
             let ctl = Arc::new(SamplerCtl { stop: Mutex::new(false), cv: Condvar::new() });
@@ -207,7 +257,7 @@ impl Server {
         let shared2 = Arc::clone(&shared);
         let scheduler = std::thread::Builder::new()
             .name("hipa-serve-scheduler".to_string())
-            .spawn(move || scheduler_loop(shared2, edges, cfg))
+            .spawn(move || scheduler_loop(shared2, state, cfg))
             .expect("spawn scheduler");
         Server { shared, num_vertices, scheduler: Some(scheduler), sampler }
     }
@@ -216,16 +266,29 @@ impl Server {
         self.num_vertices
     }
 
-    /// Enqueues a request; returns immediately with a [`Ticket`].
+    /// Submits a request and returns at once with its [`Ticket`]. A top-k
+    /// is answered here, from the newest published epoch, so its ticket is
+    /// already resolved; every other request is queued for the scheduler.
     pub fn submit(&self, req: Request) -> Ticket {
+        let submitted = Instant::now();
         let ticket = Arc::new(TicketInner { slot: Mutex::new(None), cv: Condvar::new() });
+        let job = match req {
+            Request::TopK { k } => {
+                let view = Arc::clone(&self.shared.view.lock().expect("rank view poisoned"));
+                let resp = Response::TopK { entries: view.top_k(k), epoch: view.epoch };
+                let stats = &self.shared.stats;
+                stats.topk_served.incr();
+                stats.topk_latency.record(submitted.elapsed().as_nanos() as u64);
+                ticket.fill(resp);
+                return Ticket(ticket);
+            }
+            Request::Ppr { sources, k } => Job::Ppr { sources, k },
+            Request::AddEdges { edges } => Job::AddEdges { edges },
+        };
         {
             let mut q = self.shared.queue.lock().unwrap();
-            q.pending.push_back(Pending {
-                req,
-                ticket: Arc::clone(&ticket),
-                submitted: Instant::now(),
-            });
+            let reply = Reply { ticket: Arc::clone(&ticket), submitted };
+            q.pending.push_back(Pending { job, reply });
         }
         self.shared.cv.notify_all();
         Ticket(ticket)
@@ -272,22 +335,19 @@ impl Drop for Server {
 
 fn respond(
     shared: &Shared,
-    pend: Pending,
+    reply: Reply,
     resp: Response,
     hist: fn(&ServeStats) -> &hipa_obs::Histogram,
 ) {
     if matches!(resp, Response::Error { .. }) {
         shared.stats.errors.incr();
     }
-    hist(&shared.stats).record(pend.submitted.elapsed().as_nanos() as u64);
-    let mut slot = pend.ticket.slot.lock().unwrap();
-    *slot = Some(resp);
-    pend.ticket.cv.notify_all();
+    hist(&shared.stats).record(reply.submitted.elapsed().as_nanos() as u64);
+    reply.ticket.fill(resp);
 }
 
-fn scheduler_loop(shared: Arc<Shared>, edges: EdgeList, cfg: ServeConfig) {
-    let n = edges.num_vertices();
-    let mut state = EpochState::build(edges, &cfg, 0);
+fn scheduler_loop(shared: Arc<Shared>, mut state: EpochState, cfg: ServeConfig) {
+    let n = state.edges.num_vertices();
     loop {
         // Admission: wait for work, then drain the whole queue in arrival
         // order. One drain = one scheduling cycle.
@@ -303,37 +363,30 @@ fn scheduler_loop(shared: Arc<Shared>, edges: EdgeList, cfg: ServeConfig) {
         };
         shared.stats.observe_queue_depth(batch.len() as u64);
 
-        // Classify: reads are answered (or batched) now; edge updates are
-        // deferred to the end of the cycle so every read drained alongside
-        // them still sees the pre-update epoch — "reads drained between
-        // delta epochs".
-        let mut ppr_batch: Vec<(Pending, Vec<f32>, usize)> = Vec::new();
-        let mut edge_updates: Vec<(Pending, Vec<(u32, u32)>)> = Vec::new();
-        for pend in batch {
-            match pend.req.clone() {
-                Request::TopK { k } => {
-                    shared.stats.topk_served.incr();
-                    let resp =
-                        Response::TopK { entries: top_k(&state.ranks, k), epoch: state.epoch };
-                    respond(&shared, pend, resp, |s| &s.topk_latency);
-                }
-                Request::Ppr { sources, k } => match teleport_from_seeds(n, &sources) {
-                    Ok(teleport) => ppr_batch.push((pend, teleport, k)),
+        // Classify: reads are batched now; edge updates are deferred to the
+        // end of the cycle so every read drained alongside them still sees
+        // the pre-update epoch — "reads drained between delta epochs".
+        let mut ppr_batch: Vec<(Reply, Vec<f32>, usize)> = Vec::new();
+        let mut edge_updates: Vec<(Reply, Vec<(u32, u32)>)> = Vec::new();
+        for Pending { job, reply } in batch {
+            match job {
+                Job::Ppr { sources, k } => match teleport_from_seeds(n, &sources) {
+                    Ok(teleport) => ppr_batch.push((reply, teleport, k)),
                     Err(message) => {
                         shared.stats.ppr_served.incr();
-                        respond(&shared, pend, Response::Error { message }, |s| &s.ppr_latency);
+                        respond(&shared, reply, Response::Error { message }, |s| &s.ppr_latency);
                     }
                 },
-                Request::AddEdges { edges } => {
+                Job::AddEdges { edges } => {
                     if let Some(&(s, d)) =
                         edges.iter().find(|&&(s, d)| s as usize >= n || d as usize >= n)
                     {
                         shared.stats.edges_served.incr();
                         let message =
                             format!("edge ({s}, {d}) out of range: graph has {n} vertices");
-                        respond(&shared, pend, Response::Error { message }, |s| &s.edges_latency);
+                        respond(&shared, reply, Response::Error { message }, |s| &s.edges_latency);
                     } else {
-                        edge_updates.push((pend, edges));
+                        edge_updates.push((reply, edges));
                     }
                 }
             }
@@ -345,30 +398,31 @@ fn scheduler_loop(shared: Arc<Shared>, edges: EdgeList, cfg: ServeConfig) {
         let mut ppr_batch = VecDeque::from(ppr_batch);
         while !ppr_batch.is_empty() {
             let take = cfg.batch_max.max(1).min(ppr_batch.len());
-            let mut pends = Vec::with_capacity(take);
+            let mut replies = Vec::with_capacity(take);
             let mut teleports = Vec::with_capacity(take);
-            for (pend, teleport, k) in ppr_batch.drain(..take) {
-                pends.push((pend, k));
+            for (reply, teleport, k) in ppr_batch.drain(..take) {
+                replies.push((reply, k));
                 teleports.push(teleport);
             }
             let results = state.solver.solve_batch(&teleports);
             shared.stats.ppr_batches.incr();
-            shared.stats.ppr_batched_sources.add(pends.len() as u64);
-            for ((pend, k), res) in pends.into_iter().zip(results) {
+            shared.stats.ppr_batched_sources.add(replies.len() as u64);
+            for ((reply, k), res) in replies.into_iter().zip(results) {
                 shared.stats.ppr_served.incr();
                 let resp = Response::Ppr {
                     top: top_k(&res.ranks, k),
                     iterations: res.iterations_run,
                     converged: res.converged,
-                    epoch: state.epoch,
+                    epoch: state.epoch(),
                 };
-                respond(&shared, pend, resp, |s| &s.ppr_latency);
+                respond(&shared, reply, resp, |s| &s.ppr_latency);
             }
         }
 
         // Delta epoch: all reads of this cycle are answered; commit the
         // streamed edges, rebuild the resident state, re-rank via
-        // PageRank-Delta, then acknowledge the writers with the new epoch.
+        // PageRank-Delta, publish the new rank view, then acknowledge the
+        // writers with the new epoch.
         if !edge_updates.is_empty() {
             let mut edges = state.edges.clone();
             let mut accepted = Vec::with_capacity(edge_updates.len());
@@ -378,12 +432,13 @@ fn scheduler_loop(shared: Arc<Shared>, edges: EdgeList, cfg: ServeConfig) {
                 }
                 accepted.push(batch_edges.len());
             }
-            state = EpochState::build(edges, &cfg, state.epoch + 1);
+            state = EpochState::build(edges, &cfg, state.epoch() + 1, &shared.stats);
+            *shared.view.lock().expect("rank view poisoned") = Arc::clone(&state.view);
             shared.stats.epochs.incr();
-            for ((pend, _), accepted) in edge_updates.into_iter().zip(accepted) {
+            for ((reply, _), accepted) in edge_updates.into_iter().zip(accepted) {
                 shared.stats.edges_served.incr();
-                let resp = Response::EdgesCommitted { accepted, epoch: state.epoch };
-                respond(&shared, pend, resp, |s| &s.edges_latency);
+                let resp = Response::EdgesCommitted { accepted, epoch: state.epoch() };
+                respond(&shared, reply, resp, |s| &s.edges_latency);
             }
         }
     }
@@ -525,11 +580,59 @@ mod tests {
             }
             other => panic!("unexpected response {other:?}"),
         }
+        // A writer's next read sees its own epoch: the view is published
+        // before the commit is acknowledged.
+        for (s, d) in [(2, 5), (4, 0), (5, 1)] {
+            let committed = match server.call(Request::AddEdges { edges: vec![(s, d)] }) {
+                Response::EdgesCommitted { epoch, .. } => epoch,
+                other => panic!("unexpected response {other:?}"),
+            };
+            match server.call(Request::TopK { k: 1 }) {
+                Response::TopK { epoch, .. } => assert_eq!(epoch, committed),
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        assert_eq!(server.stats().epochs.get(), 4);
         // Out-of-range endpoints are rejected without dying.
         match server.call(Request::AddEdges { edges: vec![(0, 99)] }) {
             Response::Error { message } => assert!(message.contains("out of range")),
             other => panic!("unexpected response {other:?}"),
         }
+    }
+
+    #[test]
+    fn topk_never_waits_behind_a_ppr_sweep() {
+        let edges = edge_list_of(&hipa_graph::datasets::small_test_graph(142));
+        let n = edges.num_vertices() as u32;
+        let ppr = PersonalizedConfig { iterations: 2000, tolerance: None, ..Default::default() };
+        let server = Server::start(edges, ServeConfig { ppr, ..small_cfg() });
+        // Each personalized answer takes 2000 sweeps; the top-k below must
+        // not wait for any of them.
+        let sweeps: Vec<Ticket> =
+            (0..4).map(|i| server.submit(Request::Ppr { sources: vec![i % n], k: 3 })).collect();
+        match server.submit(Request::TopK { k: 3 }).wait() {
+            Response::TopK { entries, epoch } => assert_eq!((entries.len(), epoch), (3, 0)),
+            other => panic!("unexpected response {other:?}"),
+        }
+        assert_eq!(server.stats().ppr_served.get(), 0, "top-k waited behind the sweep");
+        for t in sweeps {
+            assert!(matches!(t.wait(), Response::Ppr { iterations: 2000, .. }));
+        }
+        // Top-k never entered the queue: the only drains held sweeps.
+        let drains = server.stats().queue_depth.count();
+        assert!((1..=4).contains(&drains), "{drains} drains");
+    }
+
+    #[test]
+    fn start_builds_epoch_zero_before_returning() {
+        let server = Server::start(cycle(16), small_cfg());
+        // Every stage of the epoch-0 build is already recorded.
+        for (stage, h) in server.stats().epoch_stages() {
+            assert_eq!(h.count(), 1, "stage {stage}");
+        }
+        assert_eq!(server.stats().queue_depth.count(), 0);
+        assert!(matches!(server.call(Request::TopK { k: 2 }), Response::TopK { epoch: 0, .. }));
+        assert_eq!(server.stats().queue_depth.count(), 0, "top-k must not drain the queue");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Serve-side metrics: per-class latency histograms, request counters,
-//! queue-depth gauges — all exportable into a `RunTrace` through the
-//! existing `hipa-obs` recorder.
+//! Serve-side metrics: per-class latency histograms, epoch-build stage
+//! times, request counters, queue-depth gauges — all exportable into a
+//! `RunTrace` through the existing `hipa-obs` recorder.
 
 use crate::sampler::SampleFrame;
 use hipa_obs::{Counter, Histogram, Recorder, RUN_LEVEL};
@@ -31,6 +31,14 @@ pub struct ServeStats {
     pub ppr_batched_sources: Counter,
     /// Delta re-rank epochs committed.
     pub epochs: Counter,
+    /// Epoch-build stage times, nanoseconds, one sample per build (epoch 0
+    /// included, so each holds `epochs + 1` samples): edge list to CSR
+    /// graph, PCPM layout and solver, PageRank-Delta re-rank, and the sort
+    /// of the rank order.
+    pub epoch_csr: Histogram,
+    pub epoch_layout: Histogram,
+    pub epoch_rerank: Histogram,
+    pub epoch_order: Histogram,
     /// Admission-queue depth observed at each scheduler drain.
     pub queue_depth: Histogram,
     /// The per-drain depth series, in drain order (for trace export).
@@ -64,6 +72,16 @@ impl ServeStats {
     /// Snapshot of the sampler ring, oldest first.
     pub fn frames(&self) -> Vec<SampleFrame> {
         self.sampler_frames.lock().unwrap().iter().cloned().collect()
+    }
+
+    /// The epoch-build stage histograms by stage name.
+    pub fn epoch_stages(&self) -> [(&'static str, &Histogram); 4] {
+        [
+            ("csr", &self.epoch_csr),
+            ("layout", &self.epoch_layout),
+            ("rerank", &self.epoch_rerank),
+            ("order", &self.epoch_order),
+        ]
     }
 
     /// All-class latency histogram: the three per-class histograms merged
@@ -106,6 +124,19 @@ impl ServeStats {
             }
             let _ = writeln!(out, "hipa_serve_latency_ns_max{{class=\"{class}\"}} {}", h.max());
         }
+        for (stage, h) in self.epoch_stages() {
+            if h.is_empty() {
+                continue;
+            }
+            for (q, label) in [(0.50, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
+                let _ = writeln!(
+                    out,
+                    "hipa_serve_epoch_stage_ns{{stage=\"{stage}\",quantile=\"{label}\"}} {}",
+                    h.quantile(q)
+                );
+            }
+            let _ = writeln!(out, "hipa_serve_epoch_stage_ns_max{{stage=\"{stage}\"}} {}", h.max());
+        }
         let all = self.merged_latency();
         if !all.is_empty() {
             for (q, label) in [(0.50, "0.5"), (0.99, "0.99")] {
@@ -135,11 +166,13 @@ impl ServeStats {
         rec.set_counter("serve.ppr.batches", self.ppr_batches.get());
         rec.set_counter("serve.ppr.batched_sources", self.ppr_batched_sources.get());
         rec.set_counter("serve.epochs", self.epochs.get());
-        for (name, h) in [
-            ("topk", &self.topk_latency),
-            ("ppr", &self.ppr_latency),
-            ("edges", &self.edges_latency),
-        ] {
+        let classes = [
+            ("topk".to_string(), &self.topk_latency),
+            ("ppr".to_string(), &self.ppr_latency),
+            ("edges".to_string(), &self.edges_latency),
+        ];
+        let stages = self.epoch_stages().map(|(stage, h)| (format!("epoch.{stage}"), h));
+        for (name, h) in classes.into_iter().chain(stages) {
             if h.is_empty() {
                 continue;
             }
@@ -199,6 +232,27 @@ mod tests {
         assert!(trace.counter("serve.ppr.p95_ns").unwrap() >= 1000);
         assert_eq!(trace.counter("serve.queue.max_depth"), Some(7));
         assert_eq!(trace.spans.iter().filter(|s| s.phase == "queue.depth").count(), 2);
+    }
+
+    #[test]
+    fn epoch_stages_export_as_advisory_ns_counters() {
+        let stats = ServeStats::default();
+        for (i, (_, h)) in stats.epoch_stages().into_iter().enumerate() {
+            h.record(1000 * (i as u64 + 1));
+        }
+        let rec = Recorder::new(true);
+        stats.export_into(&rec, Duration::from_secs(1));
+        let trace = rec.finish(TraceMeta::default()).unwrap();
+        for stage in ["csr", "layout", "rerank", "order"] {
+            for q in ["p50", "p95", "p99", "max", "mean"] {
+                let name = format!("serve.epoch.{stage}.{q}_ns");
+                assert!(trace.counter(&name).is_some(), "{name}");
+            }
+        }
+        assert!(trace.counter("serve.epoch.order.max_ns").unwrap() >= 4000);
+        let text = stats.render_exposition(0, Duration::from_secs(1));
+        assert!(text.contains("hipa_serve_epoch_stage_ns{stage=\"rerank\",quantile=\"0.5\"}"));
+        assert!(text.contains("hipa_serve_epoch_stage_ns_max{stage=\"order\"}"), "{text}");
     }
 
     fn frame(seq: u64, served: u64) -> SampleFrame {

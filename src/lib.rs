@@ -74,15 +74,9 @@ pub fn pagerank(g: &DiGraph, threads: usize) -> Vec<f32> {
         .ranks
 }
 
-/// Convenience: indices of the `k` highest-ranked vertices, descending.
-pub fn top_k(ranks: &[f32], k: usize) -> Vec<(u32, f32)> {
-    let mut idx: Vec<u32> = (0..ranks.len() as u32).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        ranks[b as usize].partial_cmp(&ranks[a as usize]).unwrap().then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx.into_iter().map(|v| (v, ranks[v as usize])).collect()
-}
+/// Convenience: the `k` highest-ranked vertices with their ranks,
+/// descending, ties by index (see [`algos::topk`]).
+pub use hipa_algos::top_k;
 
 #[cfg(test)]
 mod tests {
