@@ -12,8 +12,12 @@
 //! one at a time ([`solve`](PprSolver::solve)) or as a batch
 //! ([`solve_batch`](PprSolver::solve_batch)) where every power iteration
 //! advances the whole batch through **one** multi-vector graph sweep.
-//! Vectors freeze individually at their own convergence iteration, so each
-//! batch member's result is bitwise identical to a solo run.
+//! The batch keeps only its still-iterating members, vertex-interleaved:
+//! when a member converges its ranks are copied out and the rest re-packed
+//! one narrower, so later sweeps carry no frozen slots. Re-packing moves
+//! values without summing them, and each member's sums keep the solo
+//! order, so every batch member's result is bitwise identical to a solo
+//! run.
 
 use crate::spmv::SpmvWorkspace;
 use hipa_core::PcpmPrepared;
@@ -141,88 +145,123 @@ impl PprSolver {
     /// Solves a batch of preference vectors through shared multi-vector
     /// sweeps: each power iteration makes **one** pass over the graph for
     /// the whole batch, amortizing the scatter/gather traffic across all
-    /// still-active vectors. A vector that converges freezes (its slot is
-    /// skipped from then on), so `results[b]` is bitwise identical to
-    /// `solve(&teleports[b])`.
+    /// still-active vectors. A vector that converges leaves the batch, so
+    /// `results[b]` is bitwise identical to `solve(&teleports[b])`.
     pub fn solve_batch(&mut self, teleports: &[Vec<f32>]) -> Vec<PersonalizedResult> {
         let slices: Vec<&[f32]> = teleports.iter().map(|t| t.as_slice()).collect();
         self.solve_slices(&slices)
     }
 
+    /// The batch solve. Every per-vertex array is vertex-interleaved over
+    /// the `w` members still iterating (`rank[v*w + b]`), so each power
+    /// iteration is one [`SpmvWorkspace::run_batch_into`] sweep at width
+    /// `w`. A member that converges has its ranks copied out and the rest
+    /// re-packed to width `w - 1`. Re-packing moves values, never sums
+    /// them, and each member's dangling and delta sums still run in
+    /// ascending vertex order, so no width changes any result bit.
     fn solve_slices(&mut self, teleports: &[&[f32]]) -> Vec<PersonalizedResult> {
         let prep = Arc::clone(self.ws.prepared());
         let n = prep.num_vertices;
-        let k = teleports.len();
-        if k == 0 {
-            return Vec::new();
-        }
+        let mut w = teleports.len();
         // Normalise every preference vector (f64 mass, as the one-shot path
         // always did).
-        let mut p = vec![0.0f32; k * n];
+        let mut p = vec![0.0f32; w * n];
         for (b, t) in teleports.iter().enumerate() {
             validate_teleport(t, n);
             let mass: f64 = t.iter().map(|&x| x as f64).sum();
             for v in 0..n {
-                p[b * n + v] = (t[v] as f64 / mass) as f32;
+                p[v * w + b] = (t[v] as f64 / mass) as f32;
             }
         }
 
         let d = self.cfg.damping;
         let mut rank = p.clone();
-        let mut x = vec![0.0f32; k * n];
-        let mut y = vec![0.0f32; k * n];
-        let mut active = vec![true; k];
-        let mut iters = vec![0usize; k];
-        let mut conv = vec![false; k];
-        for _ in 0..self.cfg.iterations {
-            if !active.iter().any(|&a| a) {
+        let mut x = vec![0.0f32; w * n];
+        let mut y = vec![0.0f32; w * n];
+        // `live[b]` is the teleport index of interleaved slot `b`.
+        let mut live: Vec<usize> = (0..w).collect();
+        let mut results: Vec<Option<PersonalizedResult>> = vec![None; w];
+        let mut dangling = vec![0.0f64; w];
+        let mut delta = vec![0.0f64; w];
+        for iter in 1..=self.cfg.iterations {
+            if w == 0 {
                 break;
             }
-            for b in 0..k {
-                if active[b] {
-                    let base = b * n;
-                    for v in 0..n {
-                        x[base + v] = rank[base + v] * prep.inv_deg[v];
+            for (v, (xv, rv)) in x.chunks_exact_mut(w).zip(rank.chunks_exact(w)).enumerate() {
+                for (xb, &rb) in xv.iter_mut().zip(rv) {
+                    *xb = rb * prep.inv_deg[v];
+                }
+            }
+            self.ws.run_batch_into(&x, &mut y, w);
+            // Dangling mass from the precomputed list — ascending, so each
+            // member's f64 sum matches the full scan it replaces.
+            dangling[..w].fill(0.0);
+            if self.cfg.redistribute_dangling {
+                for &v in &prep.dangling {
+                    for (s, &r) in dangling.iter_mut().zip(&rank[v as usize * w..][..w]) {
+                        *s += r as f64;
                     }
                 }
             }
-            self.ws.run_batch_into(&x, &mut y, &active);
-            for b in 0..k {
-                if !active[b] {
-                    continue;
+            delta[..w].fill(0.0);
+            for ((rv, pv), yv) in
+                rank.chunks_exact_mut(w).zip(p.chunks_exact(w)).zip(y.chunks_exact(w))
+            {
+                for b in 0..w {
+                    let nv = (1.0 - d) * pv[b] + d * (yv[b] + (dangling[b] as f32) * pv[b]);
+                    delta[b] += (nv - rv[b]).abs() as f64;
+                    rv[b] = nv;
                 }
-                let base = b * n;
-                // Dangling mass from the precomputed list — ascending, so
-                // the f64 summation order matches the full-scan it replaces.
-                let dangling: f64 = if self.cfg.redistribute_dangling {
-                    prep.dangling.iter().map(|&v| rank[base + v as usize] as f64).sum()
-                } else {
-                    0.0
-                };
-                let mut delta = 0.0f64;
-                for v in 0..n {
-                    let nv = (1.0 - d) * p[base + v]
-                        + d * (y[base + v] + (dangling as f32) * p[base + v]);
-                    delta += (nv - rank[base + v]).abs() as f64;
-                    rank[base + v] = nv;
+            }
+            let converged = |b: usize| self.cfg.tolerance.is_some_and(|tol| delta[b] < tol as f64);
+            if (0..w).any(converged) {
+                let keep: Vec<usize> = (0..w).filter(|&b| !converged(b)).collect();
+                for b in (0..w).filter(|&b| converged(b)) {
+                    results[live[b]] = Some(member_result(&rank, w, b, iter, true));
                 }
-                iters[b] += 1;
-                if let Some(tol) = self.cfg.tolerance {
-                    if delta < tol as f64 {
-                        conv[b] = true;
-                        active[b] = false;
-                    }
-                }
+                repack(&mut p, w, &keep);
+                repack(&mut rank, w, &keep);
+                live = keep.iter().map(|&b| live[b]).collect();
+                w = keep.len();
+                x.truncate(w * n);
+                y.truncate(w * n);
             }
         }
-        (0..k)
-            .map(|b| PersonalizedResult {
-                ranks: rank[b * n..(b + 1) * n].to_vec(),
-                iterations_run: iters[b],
-                converged: conv[b],
-            })
-            .collect()
+        for (b, &member) in live.iter().enumerate() {
+            results[member] = Some(member_result(&rank, w, b, self.cfg.iterations, false));
+        }
+        results.into_iter().map(|r| r.expect("every member finishes")).collect()
     }
+}
+
+/// Slot `b` of a `w`-wide interleaved rank batch, as a finished result.
+fn member_result(
+    rank: &[f32],
+    w: usize,
+    b: usize,
+    iterations_run: usize,
+    converged: bool,
+) -> PersonalizedResult {
+    PersonalizedResult {
+        ranks: rank.iter().skip(b).step_by(w).copied().collect(),
+        iterations_run,
+        converged,
+    }
+}
+
+/// Narrows a `w`-wide interleaved batch in place to the slots in `keep`
+/// (ascending), in that order. Slot `j`'s new home `v*keep.len() + j` never
+/// lies past the old one `v*w + keep[j]`, so a forward pass reads every
+/// value before anything overwrites it.
+fn repack(buf: &mut Vec<f32>, w: usize, keep: &[usize]) {
+    let n = buf.len() / w;
+    let nw = keep.len();
+    for v in 0..n {
+        for (j, &b) in keep.iter().enumerate() {
+            buf[v * nw + j] = buf[v * w + b];
+        }
+    }
+    buf.truncate(n * nw);
 }
 
 /// Runs personalized PageRank with an explicit preference distribution
@@ -267,6 +306,86 @@ mod tests {
     use super::*;
     use hipa_core::{reference_pagerank, DanglingPolicy, PageRankConfig};
     use hipa_graph::gen::{cycle, star};
+
+    /// The vector-major batch solve this module used to run (members at
+    /// `b*n..(b+1)*n`, frozen in place by an `active` mask), kept verbatim
+    /// as the oracle for the interleaved solve.
+    impl PprSolver {
+        fn solve_vector_major(&mut self, teleports: &[&[f32]]) -> Vec<PersonalizedResult> {
+            let prep = Arc::clone(self.ws.prepared());
+            let n = prep.num_vertices;
+            let k = teleports.len();
+            if k == 0 {
+                return Vec::new();
+            }
+            // Normalise every preference vector (f64 mass, as the one-shot path
+            // always did).
+            let mut p = vec![0.0f32; k * n];
+            for (b, t) in teleports.iter().enumerate() {
+                validate_teleport(t, n);
+                let mass: f64 = t.iter().map(|&x| x as f64).sum();
+                for v in 0..n {
+                    p[b * n + v] = (t[v] as f64 / mass) as f32;
+                }
+            }
+
+            let d = self.cfg.damping;
+            let mut rank = p.clone();
+            let mut x = vec![0.0f32; k * n];
+            let mut y = vec![0.0f32; k * n];
+            let mut active = vec![true; k];
+            let mut iters = vec![0usize; k];
+            let mut conv = vec![false; k];
+            for _ in 0..self.cfg.iterations {
+                if !active.iter().any(|&a| a) {
+                    break;
+                }
+                for b in 0..k {
+                    if active[b] {
+                        let base = b * n;
+                        for v in 0..n {
+                            x[base + v] = rank[base + v] * prep.inv_deg[v];
+                        }
+                    }
+                }
+                self.ws.run_batch_vector_major(&x, &mut y, &active);
+                for b in 0..k {
+                    if !active[b] {
+                        continue;
+                    }
+                    let base = b * n;
+                    // Dangling mass from the precomputed list — ascending, so
+                    // the f64 summation order matches the full-scan it replaces.
+                    let dangling: f64 = if self.cfg.redistribute_dangling {
+                        prep.dangling.iter().map(|&v| rank[base + v as usize] as f64).sum()
+                    } else {
+                        0.0
+                    };
+                    let mut delta = 0.0f64;
+                    for v in 0..n {
+                        let nv = (1.0 - d) * p[base + v]
+                            + d * (y[base + v] + (dangling as f32) * p[base + v]);
+                        delta += (nv - rank[base + v]).abs() as f64;
+                        rank[base + v] = nv;
+                    }
+                    iters[b] += 1;
+                    if let Some(tol) = self.cfg.tolerance {
+                        if delta < tol as f64 {
+                            conv[b] = true;
+                            active[b] = false;
+                        }
+                    }
+                }
+            }
+            (0..k)
+                .map(|b| PersonalizedResult {
+                    ranks: rank[b * n..(b + 1) * n].to_vec(),
+                    iterations_run: iters[b],
+                    converged: conv[b],
+                })
+                .collect()
+        }
+    }
 
     #[test]
     fn uniform_teleport_reduces_to_global_pagerank() {
@@ -371,6 +490,126 @@ mod tests {
             assert_eq!(batch[b].ranks, solo.ranks, "batch slot {b}");
             assert_eq!(batch[b].iterations_run, solo.iterations_run, "batch slot {b}");
             assert_eq!(batch[b].converged, solo.converged, "batch slot {b}");
+        }
+    }
+
+    /// The integration corpus of `tests/serve.rs` (indices 0–4), then
+    /// seeded random graphs.
+    fn corpus_graph(i: usize, seed: u64) -> DiGraph {
+        use hipa_graph::gen::{barabasi_albert, erdos_renyi, path};
+        let edges = match i {
+            0 => cycle(64),
+            1 => star(40),
+            2 => path(50),
+            3 => return hipa_graph::datasets::small_test_graph(7),
+            4 => erdos_renyi(300, 2400, 5),
+            5 => {
+                let n = 20 + (seed % 300) as usize;
+                erdos_renyi(n, n * (1 + (seed % 8) as usize), seed)
+            }
+            _ => barabasi_albert(30 + (seed % 400) as usize, 1 + (seed % 4) as usize, seed),
+        };
+        DiGraph::from_edge_list(&edges)
+    }
+
+    /// `w` preference vectors that freeze at staggered iterations: member
+    /// 0 is uniform, the rest each seed one vertex (spread by `seed`). A
+    /// seed's neighbourhood sets how fast its mass settles — a dangling
+    /// seed in one sweep, a seed on a long cycle never — so the members
+    /// meet the tolerance at different iterations or run to the cap.
+    fn staggered_teleports(n: usize, w: usize, seed: u64) -> Vec<Vec<f32>> {
+        (0..w)
+            .map(|b| match b {
+                0 => vec![1.0f32; n],
+                _ => {
+                    let hot = (seed as usize).wrapping_add(b * 7919) % n;
+                    teleport_from_seeds(n, &[hot as u32]).unwrap()
+                }
+            })
+            .collect()
+    }
+
+    /// Solves `teleports` three ways — interleaved batch, the vector-major
+    /// oracle, one solo solve each — and checks every result bit.
+    fn assert_batch_matches_oracle_and_solo(solver: &mut PprSolver, teleports: &[Vec<f32>]) {
+        let slices: Vec<&[f32]> = teleports.iter().map(|t| t.as_slice()).collect();
+        let batch = solver.solve_batch(teleports);
+        let oracle = solver.solve_vector_major(&slices);
+        for (b, t) in teleports.iter().enumerate() {
+            let solo = solver.solve(t);
+            for (name, want) in [("oracle", &oracle[b]), ("solo", &solo)] {
+                let bits = |r: &PersonalizedResult| -> Vec<u32> {
+                    r.ranks.iter().map(|x| x.to_bits()).collect()
+                };
+                assert_eq!(bits(&batch[b]), bits(want), "member {b} ranks vs {name}");
+                assert_eq!(batch[b].iterations_run, want.iterations_run, "member {b} vs {name}");
+                assert_eq!(batch[b].converged, want.converged, "member {b} vs {name}");
+            }
+        }
+    }
+
+    #[test]
+    fn staggered_freezes_match_the_vector_major_oracle() {
+        let g = hipa_graph::datasets::small_test_graph(134);
+        let cfg = PersonalizedConfig {
+            iterations: 14,
+            threads: 3,
+            verts_per_partition: 32,
+            ..Default::default()
+        };
+        let mut solver = PprSolver::new(&g, &cfg);
+        let teleports = staggered_teleports(g.num_vertices(), 8, 3);
+        let batch = solver.solve_batch(&teleports);
+        // The batch really re-packs several times and keeps members to the
+        // cap: at least three distinct freeze points, both outcomes present.
+        let mut freezes: Vec<usize> = batch.iter().map(|r| r.iterations_run).collect();
+        freezes.sort_unstable();
+        freezes.dedup();
+        assert!(freezes.len() >= 3, "freeze points {freezes:?}");
+        let runs: Vec<(usize, bool)> =
+            batch.iter().map(|r| (r.iterations_run, r.converged)).collect();
+        assert!(runs.iter().any(|r| r.1) && runs.iter().any(|r| !r.1), "{runs:?}");
+        assert_batch_matches_oracle_and_solo(&mut solver, &teleports);
+    }
+
+    #[test]
+    fn empty_batch_solves_to_nothing() {
+        let g = DiGraph::from_edge_list(&cycle(4));
+        assert!(PprSolver::new(&g, &PersonalizedConfig::default()).solve_batch(&[]).is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The interleaved batch is bitwise the vector-major oracle and the
+        /// solo solves, for every width, thread count, partition size and
+        /// freeze pattern (tolerance or cap, dangling mass on or off).
+        #[test]
+        fn interleaved_batch_is_bitwise_the_oracle(
+            graph in 0usize..7,
+            seed in 0u64..10_000,
+            wi in 0usize..5,
+            threads in 1usize..4,
+            vi in 0usize..3,
+            cap in 1usize..60,
+            ti in 0usize..3,
+            redistribute in 0u8..2,
+        ) {
+            let g = corpus_graph(graph, seed);
+            let cfg = PersonalizedConfig {
+                iterations: cap,
+                tolerance: Some([1e-3, 1e-5, 1e-7][ti]),
+                redistribute_dangling: redistribute == 1,
+                threads,
+                verts_per_partition: [7, 32, 256][vi],
+                ..Default::default()
+            };
+            let w = [1, 2, 3, 8, 33][wi];
+            let mut solver = PprSolver::new(&g, &cfg);
+            assert_batch_matches_oracle_and_solo(
+                &mut solver,
+                &staggered_teleports(g.num_vertices(), w, seed),
+            );
         }
     }
 }

@@ -10,9 +10,16 @@
 //! [`SpmvWorkspace`] is the resident form: it builds the layout, the
 //! `hipa_plan` ownership map and the worker pool **once** and runs many
 //! sweeps (`run`), including multi-vector batches (`run_batch_into`) that
-//! amortize one graph pass across a batch of input vectors. The historical
-//! one-shot entry point [`spmv_partition_centric`] is a thin wrapper that
-//! builds a workspace, runs once, and drops it — bitwise-identical output.
+//! amortize one graph pass across a batch of input vectors. A batch is
+//! vertex-interleaved — entry `v` of vector `b` sits at `v*w + b`, message
+//! slots likewise at `slot*w + b` — so each intra-edge and each gathered
+//! destination moves `w` contiguous values in one plain loop, and a solo
+//! sweep is simply the width-1 case of the same kernel. Every element is
+//! still summed in the solo order (intra contributions in source order,
+//! then inbox slots ascending), so batching never changes a result bit.
+//! The historical one-shot entry point [`spmv_partition_centric`] is a thin
+//! wrapper that builds a workspace, runs once, and drops it —
+//! bitwise-identical output.
 //!
 //! disjointness: HiPa plan (`hipa_plan`) — each scatter job writes the PNG
 //! message slots sourced from its own partitions plus the `y` entries of its
@@ -58,7 +65,8 @@ pub struct SpmvWorkspace {
     prepared: Arc<PcpmPrepared>,
     /// Resident workers (`None` when a single worker runs the sweep inline).
     pool: Option<rayon::ThreadPool>,
-    /// Message-slot values, `batch_width × total_msgs`, reused across runs.
+    /// Message-slot values, `total_msgs × width` interleaved (`vals[slot*w +
+    /// b]`), reused across runs.
     vals: Vec<f32>,
 }
 
@@ -95,17 +103,152 @@ impl SpmvWorkspace {
         let n = self.prepared.num_vertices;
         assert_eq!(x.len(), n, "vector length mismatch");
         let mut y = vec![0.0f32; n];
-        self.run_batch_into(x, &mut y, &[true]);
+        // A width-1 interleaved batch is the plain vector.
+        self.run_batch_into(x, &mut y, 1);
         y
     }
 
-    /// Batched SpMV over `k` stacked vectors: `xs`/`ys` hold vector `b` at
-    /// `b*n..(b+1)*n`, `k = active.len()`. One graph pass serves the whole
-    /// batch; vectors with `active[b] == false` are skipped (their `ys`
-    /// range is left untouched), which lets an iterative caller freeze
-    /// converged batch members. Each active vector's output is bitwise
-    /// identical to a solo [`run`](Self::run) on the same input.
-    pub fn run_batch_into(&mut self, xs: &[f32], ys: &mut [f32], active: &[bool]) {
+    /// Batched SpMV over `width` vertex-interleaved vectors: `xs[v*width + b]`
+    /// is entry `v` of input vector `b`, and `ys` is laid out the same way.
+    /// One graph pass serves the whole batch; every edge moves `width`
+    /// contiguous values, so the inner loop is a plain add with no per-vector
+    /// bookkeeping, and `width == 1` is the solo sweep. Each vector's output
+    /// is bitwise identical to a solo [`run`](Self::run) on the same input.
+    pub fn run_batch_into(&mut self, xs: &[f32], ys: &mut [f32], width: usize) {
+        let n = self.prepared.num_vertices;
+        assert_eq!(xs.len(), width * n, "input batch length mismatch");
+        assert_eq!(ys.len(), width * n, "output batch length mismatch");
+        if n == 0 || width == 0 {
+            return;
+        }
+        ys.fill(0.0);
+
+        let prep = &*self.prepared;
+        let layout = &prep.layout;
+        let w = width;
+        self.vals.resize(w * layout.total_msgs as usize, 0.0);
+
+        // Phase 1 — scatter: intra-edges apply directly into the owner's own
+        // partitions of `ys`; inter-edges write their compressed message
+        // slots (`vals[slot*w + b]`). The pool-scope join is the barrier.
+        {
+            let y_s = SharedSlice::new(ys);
+            let vals_s = SharedSlice::new(&mut self.vals);
+            let scatter_part = |my: Range<usize>| {
+                for p in my {
+                    let vr = layout.partition_vertices(p);
+                    for v in vr.start as usize..vr.end as usize {
+                        let xv = &xs[v * w..][..w];
+                        for &dst in layout.intra_of(v as u32) {
+                            let base = dst as usize * w;
+                            for (b, &xb) in xv.iter().enumerate() {
+                                // SAFETY: intra destinations stay in this
+                                // job's own partitions.
+                                unsafe { y_s.update(base + b, |a| *a += xb) };
+                            }
+                        }
+                    }
+                    for pair in layout.png_of(p) {
+                        for (i, &src) in layout.png_sources(pair).iter().enumerate() {
+                            let base = (pair.slot_start as usize + i) * w;
+                            for (b, &xb) in xs[src as usize * w..][..w].iter().enumerate() {
+                                // SAFETY: one writer per slot — slots are
+                                // sourced from exactly one partition.
+                                unsafe { vals_s.write(base + b, xb) };
+                            }
+                        }
+                    }
+                }
+            };
+            on_owners(&self.pool, &prep.thread_parts, &scatter_part);
+        }
+
+        // Phase 2 — gather: each owner streams its partitions' inboxes
+        // (read-only now) and accumulates into its own `ys` entries.
+        {
+            let y_s = SharedSlice::new(ys);
+            let vals: &[f32] = &self.vals;
+            let gather_part = |my: Range<usize>| {
+                for q in my {
+                    for slot in layout.part_slot_ranges[q].clone() {
+                        let msg = &vals[slot as usize * w..][..w];
+                        for &dst in layout.dests_of(slot) {
+                            let base = dst as usize * w;
+                            for (b, &m) in msg.iter().enumerate() {
+                                // SAFETY: destinations lie in q, owned by
+                                // this job alone.
+                                unsafe { y_s.update(base + b, |a| *a += m) };
+                            }
+                        }
+                    }
+                }
+            };
+            on_owners(&self.pool, &prep.thread_parts, &gather_part);
+        }
+    }
+
+    /// Convenience batch form: one input vector per element, outputs in the
+    /// same order.
+    pub fn run_batch(&mut self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        let n = self.prepared.num_vertices;
+        let k = xs.len();
+        let mut flat_x = vec![0.0f32; k * n];
+        for (b, x) in xs.iter().enumerate() {
+            assert_eq!(x.len(), n, "vector length mismatch in batch slot {b}");
+            for (v, &xv) in x.iter().enumerate() {
+                flat_x[v * k + b] = xv;
+            }
+        }
+        let mut flat_y = vec![0.0f32; k * n];
+        self.run_batch_into(&flat_x, &mut flat_y, k);
+        (0..k).map(|b| flat_y.iter().skip(b).step_by(k).copied().collect()).collect()
+    }
+}
+
+/// Runs `job` once per `hipa_plan` owner range: one pool job per range, or
+/// inline in owner order without a pool. Returns after every job (the pool
+/// scope's join is the phase barrier).
+fn on_owners(
+    pool: &Option<rayon::ThreadPool>,
+    parts: &[Range<usize>],
+    job: &(dyn Fn(Range<usize>) + Sync),
+) {
+    match pool {
+        Some(pool) => pool.scope(|s| {
+            for my in parts.iter().cloned() {
+                s.spawn(move |_| job(my));
+            }
+        }),
+        None => parts.iter().cloned().for_each(job),
+    }
+}
+
+/// Partition-centric SpMV: scatter `x` through the compressed message bins,
+/// gather per destination partition, with `threads` workers owning disjoint
+/// partition groups (one-to-many, as in HiPa §3.2).
+///
+/// One-shot wrapper over [`SpmvWorkspace`]: builds the full preprocessed
+/// state, sweeps once, drops it. Prefer a workspace for anything iterative.
+pub fn spmv_partition_centric(
+    g: &DiGraph,
+    x: &[f32],
+    threads: usize,
+    verts_per_partition: usize,
+) -> Vec<f32> {
+    let n = g.num_vertices();
+    assert_eq!(x.len(), n, "vector length mismatch");
+    if n == 0 {
+        return Vec::new();
+    }
+    SpmvWorkspace::new(g, threads, verts_per_partition).run(x)
+}
+
+/// The vector-major batch sweep this module used to run (vector `b` at
+/// `b*n..(b+1)*n`, an `active` mask per vector), kept verbatim as the
+/// oracle the interleaved kernel is checked against bit for bit.
+#[cfg(test)]
+impl SpmvWorkspace {
+    pub(crate) fn run_batch_vector_major(&mut self, xs: &[f32], ys: &mut [f32], active: &[bool]) {
         let n = self.prepared.num_vertices;
         let k = active.len();
         assert_eq!(xs.len(), k * n, "input batch length mismatch");
@@ -218,41 +361,6 @@ impl SpmvWorkspace {
             }
         }
     }
-
-    /// Convenience batch form: one input vector per element, outputs in the
-    /// same order.
-    pub fn run_batch(&mut self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let n = self.prepared.num_vertices;
-        let k = xs.len();
-        let mut flat_x = vec![0.0f32; k * n];
-        for (b, x) in xs.iter().enumerate() {
-            assert_eq!(x.len(), n, "vector length mismatch in batch slot {b}");
-            flat_x[b * n..(b + 1) * n].copy_from_slice(x);
-        }
-        let mut flat_y = vec![0.0f32; k * n];
-        self.run_batch_into(&flat_x, &mut flat_y, &vec![true; k]);
-        (0..k).map(|b| flat_y[b * n..(b + 1) * n].to_vec()).collect()
-    }
-}
-
-/// Partition-centric SpMV: scatter `x` through the compressed message bins,
-/// gather per destination partition, with `threads` workers owning disjoint
-/// partition groups (one-to-many, as in HiPa §3.2).
-///
-/// One-shot wrapper over [`SpmvWorkspace`]: builds the full preprocessed
-/// state, sweeps once, drops it. Prefer a workspace for anything iterative.
-pub fn spmv_partition_centric(
-    g: &DiGraph,
-    x: &[f32],
-    threads: usize,
-    verts_per_partition: usize,
-) -> Vec<f32> {
-    let n = g.num_vertices();
-    assert_eq!(x.len(), n, "vector length mismatch");
-    if n == 0 {
-        return Vec::new();
-    }
-    SpmvWorkspace::new(g, threads, verts_per_partition).run(x)
 }
 
 #[cfg(test)]
@@ -329,15 +437,43 @@ mod tests {
     }
 
     #[test]
-    fn inactive_batch_slots_are_untouched() {
+    fn interleaved_sweep_equals_solo_runs() {
         let g = hipa_graph::datasets::small_test_graph(84);
         let n = g.num_vertices();
-        let xs = vec![0.5f32; 3 * n];
-        let mut ys = vec![-1.0f32; 3 * n];
         let mut ws = SpmvWorkspace::new(&g, 2, 128);
-        ws.run_batch_into(&xs, &mut ys, &[true, false, true]);
-        assert!(ys[n..2 * n].iter().all(|&v| v == -1.0), "frozen slot must stay untouched");
-        assert_eq!(&ys[..n], &ws.run(&xs[..n])[..]);
+        for w in [1usize, 3, 8] {
+            let xs: Vec<f32> = (0..w * n).map(|i| ((i * 7) % 13) as f32 * 0.25).collect();
+            let mut ys = vec![-1.0f32; w * n];
+            ws.run_batch_into(&xs, &mut ys, w);
+            for b in 0..w {
+                let x: Vec<f32> = xs.iter().skip(b).step_by(w).copied().collect();
+                let y: Vec<f32> = ys.iter().skip(b).step_by(w).copied().collect();
+                assert_eq!(y, ws.run(&x), "width {w}, vector {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_sweep_matches_vector_major_oracle() {
+        let g = hipa_graph::datasets::small_test_graph(85);
+        let n = g.num_vertices();
+        for (threads, vpp, w) in [(1, 7, 2), (2, 32, 5), (3, 256, 33)] {
+            let mut ws = SpmvWorkspace::new(&g, threads, vpp);
+            // Non-dyadic values, so any change in summation order shows.
+            let major: Vec<f32> = (0..w * n).map(|i| 1.0 / (1 + (i * 11) % 17) as f32).collect();
+            let mut want = vec![0.0f32; w * n];
+            ws.run_batch_vector_major(&major, &mut want, &vec![true; w]);
+            let inter: Vec<f32> = (0..w * n).map(|i| major[(i % w) * n + i / w]).collect();
+            let mut got = vec![0.0f32; w * n];
+            ws.run_batch_into(&inter, &mut got, w);
+            for i in 0..w * n {
+                assert_eq!(
+                    got[i].to_bits(),
+                    want[(i % w) * n + i / w].to_bits(),
+                    "t={threads} w={w}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn bench_ppr_batch_width(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_ppr_batch_width");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
     let mut solver = PprSolver::new(&g, &cfg);
-    for k in [1usize, 4, 16] {
+    for k in [1usize, 4, 16, 32] {
         let teleports: Vec<Vec<f32>> =
             (0..k).map(|i| teleport_from_seeds(n, &[((i * n) / k) as u32]).unwrap()).collect();
         group.bench_with_input(BenchmarkId::new("batch", k), &k, |b, _| {

@@ -124,6 +124,15 @@ mod tests {
     }
 
     #[test]
+    fn ppr_sweep_timings_are_advisory_times() {
+        for q in ["p50", "p95", "p99", "max", "mean"] {
+            let name = format!("serve.ppr.sweep.{q}_ns");
+            assert_eq!(counter_class(&name), MetricClass::Advisory, "{name}");
+            assert_eq!(higher_is_worse(&name), Some(true), "{name}");
+        }
+    }
+
+    #[test]
     fn phases_classify_by_unit_and_kind() {
         assert_eq!(phase_class("cycles", "scatter"), MetricClass::Deterministic);
         assert_eq!(phase_class("ns", "scatter"), MetricClass::Advisory);

@@ -27,13 +27,14 @@
 //!   acknowledged.
 //!
 //! Personalized PageRank and edge updates go through an admission queue
-//! and a single batch scheduler thread.
+//! and a single batch scheduler thread. [`Ticket::wait_timeout`] bounds a
+//! client's wait and hands the ticket back when the time runs out.
 //!
 //! Invalid user input (out-of-range personalization seeds or edge
 //! endpoints) yields [`Response::Error`] instead of a server panic. Latency
-//! histograms (p50/p95/p99), epoch-build stage times, throughput and
-//! queue-depth gauges accumulate
-//! in [`ServeStats`] and export into a `RunTrace` via `hipa-obs`
+//! histograms (p50/p95/p99), epoch-build stage times, time per PPR sweep,
+//! throughput and queue-depth gauges accumulate in [`ServeStats`] and
+//! export into a `RunTrace` via `hipa-obs`
 //! ([`ServeStats::export_into`]); the deterministic open-loop load
 //! generator lives in [`loadgen`]. An opt-in background [`sampler`]
 //! ([`ServeConfig`]'s `sampler` field) snapshots queue depth, merged

@@ -25,7 +25,7 @@ use hipa_core::PcpmPrepared;
 use hipa_graph::{DiGraph, EdgeList};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -119,6 +119,24 @@ impl Ticket {
             slot = self.0.cv.wait(slot).unwrap();
         }
         slot.take().expect("response present")
+    }
+
+    /// Waits at most `timeout` for the response. On timeout the ticket
+    /// comes back unchanged, so the caller can wait on it again later.
+    pub fn wait_timeout(self, timeout: Duration) -> Result<Response, Ticket> {
+        let slot = self.0.slot.lock().expect("ticket slot poisoned");
+        let (mut slot, _) = self
+            .0
+            .cv
+            .wait_timeout_while(slot, timeout, |s| s.is_none())
+            .expect("ticket slot poisoned");
+        match slot.take() {
+            Some(resp) => Ok(resp),
+            None => {
+                drop(slot);
+                Err(self)
+            }
+        }
     }
 }
 
@@ -404,7 +422,13 @@ fn scheduler_loop(shared: Arc<Shared>, mut state: EpochState, cfg: ServeConfig) 
                 replies.push((reply, k));
                 teleports.push(teleport);
             }
+            let solve_start = Instant::now();
             let results = state.solver.solve_batch(&teleports);
+            let sweeps = results.iter().map(|r| r.iterations_run).max().unwrap_or(0);
+            if sweeps > 0 {
+                let ns = solve_start.elapsed().as_nanos() as u64;
+                shared.stats.ppr_sweep.record(ns / sweeps as u64);
+            }
             shared.stats.ppr_batches.incr();
             shared.stats.ppr_batched_sources.add(replies.len() as u64);
             for ((reply, k), res) in replies.into_iter().zip(results) {
@@ -621,6 +645,26 @@ mod tests {
         // Top-k never entered the queue: the only drains held sweeps.
         let drains = server.stats().queue_depth.count();
         assert!((1..=4).contains(&drains), "{drains} drains");
+    }
+
+    #[test]
+    fn wait_timeout_hands_the_ticket_back() {
+        let edges = edge_list_of(&hipa_graph::datasets::small_test_graph(143));
+        let ppr = PersonalizedConfig { iterations: 2000, tolerance: None, ..Default::default() };
+        let server = Server::start(edges, ServeConfig { ppr, ..small_cfg() });
+        let long = server.submit(Request::Ppr { sources: vec![0], k: 3 });
+        let queued = server.submit(Request::Ppr { sources: vec![1], k: 3 });
+        // Behind (or inside) a 2000-sweep batch, 1 ms is far too short.
+        let queued = match queued.wait_timeout(Duration::from_millis(1)) {
+            Err(ticket) => ticket,
+            Ok(resp) => panic!("answered within 1 ms: {resp:?}"),
+        };
+        assert!(matches!(queued.wait(), Response::Ppr { iterations: 2000, .. }));
+        let done = long.wait_timeout(Duration::from_secs(600));
+        assert!(matches!(done, Ok(Response::Ppr { iterations: 2000, .. })));
+        // One sweep-time sample per batch solve.
+        let stats = server.stats();
+        assert_eq!(stats.ppr_sweep.count(), stats.ppr_batches.get());
     }
 
     #[test]

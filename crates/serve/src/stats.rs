@@ -29,6 +29,11 @@ pub struct ServeStats {
     /// PPR source-set requests that went through a batched sweep — with
     /// `ppr_batches` this gives the realized amortization factor.
     pub ppr_batched_sources: Counter,
+    /// Time per multi-vector PPR sweep, nanoseconds: one sample per
+    /// `solve_batch` call, its wall time divided by the sweeps it ran (its
+    /// longest member's iterations). A personalized answer's solve time is
+    /// about `iterations × ppr_sweep`.
+    pub ppr_sweep: Histogram,
     /// Delta re-rank epochs committed.
     pub epochs: Counter,
     /// Epoch-build stage times, nanoseconds, one sample per build (epoch 0
@@ -137,6 +142,16 @@ impl ServeStats {
             }
             let _ = writeln!(out, "hipa_serve_epoch_stage_ns_max{{stage=\"{stage}\"}} {}", h.max());
         }
+        if !self.ppr_sweep.is_empty() {
+            for (q, label) in [(0.50, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
+                let _ = writeln!(
+                    out,
+                    "hipa_serve_ppr_sweep_ns{{quantile=\"{label}\"}} {}",
+                    self.ppr_sweep.quantile(q)
+                );
+            }
+            let _ = writeln!(out, "hipa_serve_ppr_sweep_ns_max {}", self.ppr_sweep.max());
+        }
         let all = self.merged_latency();
         if !all.is_empty() {
             for (q, label) in [(0.50, "0.5"), (0.99, "0.99")] {
@@ -172,7 +187,8 @@ impl ServeStats {
             ("edges".to_string(), &self.edges_latency),
         ];
         let stages = self.epoch_stages().map(|(stage, h)| (format!("epoch.{stage}"), h));
-        for (name, h) in classes.into_iter().chain(stages) {
+        let sweep = ("ppr.sweep".to_string(), &self.ppr_sweep);
+        for (name, h) in classes.into_iter().chain(stages).chain([sweep]) {
             if h.is_empty() {
                 continue;
             }
@@ -253,6 +269,27 @@ mod tests {
         let text = stats.render_exposition(0, Duration::from_secs(1));
         assert!(text.contains("hipa_serve_epoch_stage_ns{stage=\"rerank\",quantile=\"0.5\"}"));
         assert!(text.contains("hipa_serve_epoch_stage_ns_max{stage=\"order\"}"), "{text}");
+    }
+
+    #[test]
+    fn ppr_sweep_time_exports_as_ns_counters_and_exposition() {
+        let stats = ServeStats::default();
+        let text = stats.render_exposition(0, Duration::from_secs(1));
+        assert!(!text.contains("hipa_serve_ppr_sweep_ns"), "no sweeps, no lines: {text}");
+        for ns in [3_000_000, 4_000_000, 9_000_000] {
+            stats.ppr_sweep.record(ns);
+        }
+        let rec = Recorder::new(true);
+        stats.export_into(&rec, Duration::from_secs(1));
+        let trace = rec.finish(TraceMeta::default()).unwrap();
+        for q in ["p50", "p95", "p99", "max", "mean"] {
+            let name = format!("serve.ppr.sweep.{q}_ns");
+            assert!(trace.counter(&name).is_some(), "{name}");
+        }
+        assert!(trace.counter("serve.ppr.sweep.max_ns").unwrap() >= 9_000_000);
+        let text = stats.render_exposition(0, Duration::from_secs(1));
+        assert!(text.contains("hipa_serve_ppr_sweep_ns{quantile=\"0.5\"}"), "{text}");
+        assert!(text.contains("hipa_serve_ppr_sweep_ns_max"), "{text}");
     }
 
     fn frame(seq: u64, served: u64) -> SampleFrame {

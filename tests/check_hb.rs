@@ -25,6 +25,7 @@
 use hipa::core::disjoint::SharedSlice;
 use hipa::prelude::*;
 use hipa::serve::{edge_list_of, loadgen::run_load, LoadConfig, ServeConfig, Server};
+use hipa_algos::{teleport_from_seeds, PersonalizedConfig, PprSolver};
 use hipa_baselines::all_engines;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -251,6 +252,41 @@ fn partition_centric_spmv_is_race_clean() {
     let got = hipa_algos::spmv_partition_centric(&g, &x, 4, 128);
     for (v, (a, b)) in got.iter().zip(&want).enumerate() {
         assert!((a - b).abs() <= 1e-3 * b.abs().max(1e-6), "spmv differs at v{v}: {a} vs {b}");
+    }
+}
+
+/// The interleaved multi-vector PPR batch — message slots written `width`
+/// values at a time, members re-packed as they freeze — runs race-clean,
+/// and each member stays bitwise equal to its solo solve. Member 0 is
+/// uniform and the rest seed one vertex each, so with this cap the batch
+/// narrows several times and keeps some members to the last iteration.
+#[test]
+fn staggered_ppr_batch_is_race_clean() {
+    let g = hipa::graph::datasets::small_test_graph(134);
+    let n = g.num_vertices();
+    let cfg = PersonalizedConfig {
+        iterations: 14,
+        threads: 3,
+        verts_per_partition: 32,
+        ..Default::default()
+    };
+    let teleports: Vec<Vec<f32>> = (0..8)
+        .map(|b| match b {
+            0 => vec![1.0; n],
+            _ => teleport_from_seeds(n, &[((3 + b * 7919) % n) as u32]).unwrap(),
+        })
+        .collect();
+    let mut solver = PprSolver::new(&g, &cfg);
+    let batch = solver.solve_batch(&teleports);
+    let mut freezes: Vec<usize> = batch.iter().map(|r| r.iterations_run).collect();
+    freezes.sort_unstable();
+    freezes.dedup();
+    assert!(freezes.len() >= 3, "members must freeze at staggered points: {freezes:?}");
+    assert!(batch.iter().any(|r| r.converged) && batch.iter().any(|r| !r.converged));
+    for (b, t) in teleports.iter().enumerate() {
+        let solo = solver.solve(t);
+        assert_eq!(batch[b].ranks, solo.ranks, "member {b}");
+        assert_eq!(batch[b].iterations_run, solo.iterations_run, "member {b}");
     }
 }
 
