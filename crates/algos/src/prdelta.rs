@@ -5,10 +5,11 @@
 //! incoming delta exceeds a threshold; ranks converge to the same fixed
 //! point as power iteration (with the `Ignore` dangling policy of Eq. 1).
 //!
-//! The propagation step reuses the partition grid: active vertices are
-//! processed partition-by-partition so each round's random writes stay
-//! confined to cache-sized destination ranges, exactly as in the PageRank
-//! engines.
+//! Each round walks the frontier in ascending vertex order and pushes along
+//! the out-CSR, so every destination sums its incoming pushes in ascending
+//! source order: the result is a pure function of the graph and the
+//! config. The pushes are random writes over the whole rank range; nothing
+//! confines them to cache-sized destination ranges.
 
 use hipa_graph::DiGraph;
 
@@ -20,13 +21,11 @@ pub struct PrDeltaConfig {
     pub threshold: f32,
     /// Hard round cap (safety net; convergence normally stops earlier).
     pub max_rounds: usize,
-    /// Partition size in vertices for the partition-grouped propagation.
-    pub verts_per_partition: usize,
 }
 
 impl Default for PrDeltaConfig {
     fn default() -> Self {
-        PrDeltaConfig { damping: 0.85, threshold: 1e-9, max_rounds: 200, verts_per_partition: 1024 }
+        PrDeltaConfig { damping: 0.85, threshold: 1e-9, max_rounds: 200 }
     }
 }
 
@@ -51,54 +50,31 @@ pub fn pagerank_delta(g: &DiGraph, cfg: &PrDeltaConfig) -> PrDeltaResult {
     }
     let d = cfg.damping;
     let base = (1.0 - d) / n as f32;
+    let (offsets, targets) = (g.out_csr().offsets_raw(), g.out_csr().targets_raw());
     // Series form of Eq. 1's fixed point (Ignore dangling):
     // r = Σ_k (dM)^k · (1-d)/n·1. Round k absorbs term k into `rank` and
     // pushes its d-scaled propagation as the next round's deltas.
     let mut rank = vec![0.0f32; n];
     let mut delta: Vec<f32> = vec![base; n];
     let mut pending = vec![0.0f32; n];
-    let vpp = cfg.verts_per_partition.max(1);
-    let num_parts = n.div_ceil(vpp);
+    // Always in ascending vertex order: built by the ascending scan below.
     let mut frontier: Vec<u32> = (0..n as u32).collect();
-    // Round-persistent counting-sort buffers: the frontier is grouped by
-    // partition into one flat array instead of a fresh `Vec<Vec<u32>>` of
-    // per-partition buckets per round.
-    let mut part_starts = vec![0usize; num_parts + 1];
-    let mut cursor = vec![0usize; num_parts + 1];
-    let mut grouped = vec![0u32; n];
     let mut activations = 0u64;
     let mut rounds = 0usize;
 
     while !frontier.is_empty() && rounds < cfg.max_rounds {
         rounds += 1;
         activations += frontier.len() as u64;
-        // Process the frontier partition by partition: sources of one
-        // partition scatter together, keeping source reads cache-resident.
-        // Counting sort is stable and the frontier is built in ascending
-        // vertex order, so the grouped order is identical to what the old
-        // per-partition buckets produced.
-        part_starts.fill(0);
         for &v in &frontier {
-            part_starts[v as usize / vpp + 1] += 1;
-        }
-        for p in 1..=num_parts {
-            part_starts[p] += part_starts[p - 1];
-        }
-        cursor.copy_from_slice(&part_starts);
-        for &v in &frontier {
-            let p = v as usize / vpp;
-            grouped[cursor[p]] = v;
-            cursor[p] += 1;
-        }
-        for &v in &grouped[..frontier.len()] {
-            let dv = delta[v as usize];
-            rank[v as usize] += dv;
-            let deg = g.out_degree(v);
-            if deg == 0 {
+            let v = v as usize;
+            let dv = delta[v];
+            rank[v] += dv;
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            if lo == hi {
                 continue; // Eq. 1 drops dangling mass.
             }
-            let push = d * dv / deg as f32;
-            for &u in g.out_csr().neighbors(v) {
+            let push = d * dv / (hi - lo) as f32;
+            for &u in &targets[lo..hi] {
                 pending[u as usize] += push;
             }
         }
@@ -167,10 +143,16 @@ mod tests {
         assert!(loose.converged && tight.converged);
     }
 
-    /// The pre-refactor round loop (fresh `Vec<Vec<u32>>` buckets per
-    /// round), kept as an oracle: the counting-sort rewrite must not change
-    /// a single bit of the ranks nor the activation/round counts.
-    fn pagerank_delta_bucketed_oracle(g: &DiGraph, cfg: &PrDeltaConfig) -> PrDeltaResult {
+    /// The original round loop, which grouped each round's frontier into
+    /// fresh per-partition buckets of `vpp` vertices before pushing, kept
+    /// as an oracle: pushing the ascending frontier directly must not change
+    /// a single bit of the ranks nor the activation/round counts, whatever
+    /// the bucket size.
+    fn pagerank_delta_bucketed_oracle(
+        g: &DiGraph,
+        cfg: &PrDeltaConfig,
+        vpp: usize,
+    ) -> PrDeltaResult {
         let n = g.num_vertices();
         if n == 0 {
             return PrDeltaResult { ranks: Vec::new(), rounds: 0, activations: 0, converged: true };
@@ -180,7 +162,6 @@ mod tests {
         let mut rank = vec![0.0f32; n];
         let mut delta: Vec<f32> = vec![base; n];
         let mut pending = vec![0.0f32; n];
-        let vpp = cfg.verts_per_partition.max(1);
         let num_parts = n.div_ceil(vpp);
         let mut frontier: Vec<u32> = (0..n as u32).collect();
         let mut activations = 0u64;
@@ -224,20 +205,37 @@ mod tests {
     }
 
     #[test]
-    fn counting_sort_rounds_match_bucketed_oracle_bitwise() {
-        for seed in [90u64, 92, 93] {
-            let g = hipa_graph::datasets::small_test_graph(seed);
+    fn frontier_order_rounds_match_bucketed_oracle_bitwise() {
+        let rmat_4k = DiGraph::from_edge_list(&hipa_graph::gen::rmat(
+            &hipa_graph::gen::RmatParams {
+                scale: 12,
+                edges: 40_000,
+                a: 0.57,
+                b: 0.19,
+                c: 0.19,
+                simplify: true,
+                shuffle_ids: true,
+            },
+            94,
+        ));
+        let graphs = [90u64, 92, 93].map(|seed| {
+            (format!("small_test_graph({seed})"), hipa_graph::datasets::small_test_graph(seed))
+        });
+        for (name, g) in graphs.into_iter().chain([("rmat scale 12".to_string(), rmat_4k)]) {
             for cfg in [
                 PrDeltaConfig::default(),
-                PrDeltaConfig { threshold: 1e-5, verts_per_partition: 64, ..Default::default() },
-                PrDeltaConfig { verts_per_partition: 7, max_rounds: 9, ..Default::default() },
+                PrDeltaConfig { threshold: 1e-5, ..Default::default() },
+                PrDeltaConfig { max_rounds: 9, ..Default::default() },
             ] {
                 let got = pagerank_delta(&g, &cfg);
-                let want = pagerank_delta_bucketed_oracle(&g, &cfg);
-                assert_eq!(got.ranks, want.ranks, "seed {seed}: ranks drifted");
-                assert_eq!(got.activations, want.activations, "seed {seed}");
-                assert_eq!(got.rounds, want.rounds, "seed {seed}");
-                assert_eq!(got.converged, want.converged, "seed {seed}");
+                for vpp in [7, 64, 1024] {
+                    let want = pagerank_delta_bucketed_oracle(&g, &cfg, vpp);
+                    let at = format!("{name}, {cfg:?}, vpp {vpp}");
+                    assert_eq!(got.ranks, want.ranks, "{at}: ranks drifted");
+                    assert_eq!(got.activations, want.activations, "{at}");
+                    assert_eq!(got.rounds, want.rounds, "{at}");
+                    assert_eq!(got.converged, want.converged, "{at}");
+                }
             }
         }
     }

@@ -1,13 +1,15 @@
 //! Criterion benches of the serving hot path: what the `SpmvWorkspace`
 //! bugfix actually buys per call (one-shot layout rebuild vs resident
-//! reuse), and the per-query cost of batched multi-vector PPR as the batch
-//! widens — the amortization curve behind `--bin serve`'s census. CI runs
-//! these with `--test` (bodies once), so they double as a smoke test of the
-//! resident-reuse entry points.
+//! reuse), the per-query cost of batched multi-vector PPR as the batch
+//! widens — the amortization curve behind `--bin serve`'s census — and one
+//! edge commit on an idle server. CI runs these with `--test` (bodies
+//! once), so they double as a smoke test of the resident-reuse entry points
+//! and of the commit path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hipa_algos::{teleport_from_seeds, PersonalizedConfig, PprSolver, SpmvWorkspace};
 use hipa_graph::{datasets::small_test_graph, DiGraph};
+use hipa_serve::{edge_list_of, Request, Response, ServeConfig, Server};
 use std::time::Duration;
 
 const THREADS: usize = 2;
@@ -57,5 +59,27 @@ fn bench_ppr_batch_width(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_spmv_residency, bench_ppr_batch_width);
+/// One single-edge commit on an idle server: merge the edge into the CSR,
+/// re-rank with a cold PageRank-Delta, sort the rank order, publish. Each
+/// call adds a different edge, so every commit makes a new epoch.
+fn bench_edge_commit(c: &mut Criterion) {
+    let g = graph();
+    let n = g.num_vertices();
+    let cfg = ServeConfig { threads: THREADS, verts_per_partition: VPP, ..Default::default() };
+    let server = Server::start(edge_list_of(&g), cfg);
+    let mut group = c.benchmark_group("serve_edge_commit");
+    group.sample_size(10).measurement_time(Duration::from_secs(2));
+    let mut i = 0usize;
+    group.bench_function("one_edge", |b| {
+        b.iter(|| {
+            i += 1;
+            let edge = ((i * 7919 % n) as u32, (i * 104_729 % n) as u32);
+            let resp = server.call(Request::AddEdges { edges: vec![edge] });
+            assert!(matches!(resp, Response::EdgesCommitted { accepted: 1, .. }), "{resp:?}");
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_spmv_residency, bench_ppr_batch_width, bench_edge_commit);
 criterion_main!(benches);

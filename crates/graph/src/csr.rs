@@ -4,9 +4,11 @@
 //! edge list directly, in-edges when built from its transpose). [`DiGraph`]
 //! bundles both directions plus the degree arrays every PageRank variant
 //! needs: push/scatter engines walk out-edges, pull/gather engines walk
-//! in-edges but divide by *out*-degree.
+//! in-edges but divide by *out*-degree. The in-edge direction is built on
+//! first use, so a graph that only push engines read never pays for it.
 
 use crate::{EdgeList, VertexId};
+use std::sync::OnceLock;
 
 /// Compressed sparse row adjacency structure.
 ///
@@ -80,6 +82,51 @@ impl Csr {
             rest = tail;
         }
         runs.par_iter_mut().for_each(|r| r.sort_unstable());
+        Csr { offsets, targets }
+    }
+
+    /// This CSR with `edges` (`(src, dst)` pairs, any order, repeats
+    /// allowed) added: one O(V + E) copy that merges each new target into
+    /// its sorted adjacency run. Equals [`Self::from_edges`] of this CSR's
+    /// edges followed by `edges`.
+    ///
+    /// Panics if an endpoint is not below [`Self::num_vertices`].
+    pub fn with_edges_added(&self, edges: &[(VertexId, VertexId)]) -> Csr {
+        let n = self.num_vertices();
+        let mut added = edges.to_vec();
+        added.sort_unstable();
+        if let Some(&(s, d)) = added.iter().find(|&&(s, d)| s as usize >= n || d as usize >= n) {
+            panic!("edge ({s}, {d}) out of range: graph has {n} vertices");
+        }
+        let mut targets = Vec::with_capacity(self.targets.len() + added.len());
+        // `self.targets[..copied]` is already in `targets`.
+        let mut copied = 0;
+        for run in added.chunk_by(|a, b| a.0 == b.0) {
+            let v = run[0].0 as usize;
+            let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
+            targets.extend_from_slice(&self.targets[copied..lo]);
+            let old = &self.targets[lo..hi];
+            let mut i = 0;
+            for &(_, d) in run {
+                let j = i + old[i..].partition_point(|&t| t <= d);
+                targets.extend_from_slice(&old[i..j]);
+                targets.push(d);
+                i = j;
+            }
+            targets.extend_from_slice(&old[i..]);
+            copied = hi;
+        }
+        targets.extend_from_slice(&self.targets[copied..]);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let (mut shift, mut k) = (0u64, 0);
+        for v in 0..n {
+            while k < added.len() && added[k].0 as usize == v {
+                shift += 1;
+                k += 1;
+            }
+            offsets.push(self.offsets[v + 1] + shift);
+        }
         Csr { offsets, targets }
     }
 
@@ -160,27 +207,28 @@ impl Csr {
 /// A directed graph holding both adjacency directions and degree arrays.
 ///
 /// * `out` — out-edge CSR (scatter/push traversal);
-/// * `in_` — in-edge CSR (gather/pull traversal);
+/// * `in_` — in-edge CSR (gather/pull traversal), the transpose of `out`,
+///   built by the first [`Self::in_csr`] or [`Self::in_degree`] call;
 /// * `out_degree[v]` — what PageRank divides `v`'s rank by.
 #[derive(Debug, Clone)]
 pub struct DiGraph {
     out: Csr,
-    in_: Csr,
+    in_: OnceLock<Csr>,
     out_degree: Vec<u32>,
 }
 
 impl DiGraph {
-    /// Builds both directions from an edge list.
+    /// Builds the out-CSR and degrees from an edge list.
     pub fn from_edge_list(el: &EdgeList) -> Self {
         let out = Csr::from_edge_list(el);
         Self::from_out_csr(out)
     }
 
-    /// Builds from an out-CSR, deriving the transpose and degrees.
+    /// Builds from an out-CSR, deriving the degrees. The transpose waits
+    /// for its first reader.
     pub fn from_out_csr(out: Csr) -> Self {
-        let in_ = out.transposed();
         let out_degree = (0..out.num_vertices()).map(|v| out.degree(v as VertexId)).collect();
-        DiGraph { out, in_, out_degree }
+        DiGraph { out, in_: OnceLock::new(), out_degree }
     }
 
     #[inline]
@@ -199,10 +247,11 @@ impl DiGraph {
         &self.out
     }
 
-    /// In-edge CSR.
+    /// In-edge CSR: the transpose of [`Self::out_csr`], built on the first
+    /// call (by whichever thread gets there first) and shared afterwards.
     #[inline]
     pub fn in_csr(&self) -> &Csr {
-        &self.in_
+        self.in_.get_or_init(|| self.out.transposed())
     }
 
     #[inline]
@@ -217,7 +266,7 @@ impl DiGraph {
 
     #[inline]
     pub fn in_degree(&self, v: VertexId) -> u32 {
-        self.in_.degree(v)
+        self.in_csr().degree(v)
     }
 
     /// Vertices with no outgoing edges (PageRank "dangling" vertices).

@@ -159,7 +159,7 @@ impl Dataset {
         }
     }
 
-    /// Generates the stand-in as a [`DiGraph`] (both directions built).
+    /// Generates the stand-in as a [`DiGraph`].
     pub fn build(self) -> DiGraph {
         DiGraph::from_edge_list(&self.edge_list())
     }

@@ -7,7 +7,7 @@
 //! * [`Csr`] — compressed sparse row adjacency, the canonical in-memory
 //!   representation. A [`DiGraph`] bundles the out-CSR with its transpose
 //!   (the in-CSR) since pull-based engines traverse in-edges while push-based
-//!   engines traverse out-edges.
+//!   engines traverse out-edges. The transpose is built on first use.
 //! * [`gen`] — deterministic graph generators (RMAT/Kronecker, Zipf
 //!   power-law, Erdős–Rényi, and small structured graphs for tests).
 //! * [`datasets`] — scaled synthetic stand-ins for the six graphs of the

@@ -12,8 +12,9 @@
 //! * **Advisory** — anything the host clock or OS scheduler touches: native
 //!   wall-times, latency quantiles, throughput, pool scheduling statistics
 //!   (steals/parks are races by design), admission-queue depths, and the
-//!   batch/epoch grouping that follows scheduler drain timing. These are
-//!   gated by a relative threshold ([`crate::DiffOptions::wall_tol`]).
+//!   batch/epoch grouping (epoch and layout counts) that follows scheduler
+//!   drain timing. These are gated by a relative threshold
+//!   ([`crate::DiffOptions::wall_tol`]).
 //!
 //! The split is a *name* policy so that it applies uniformly to live
 //! `RunTrace`s and to snapshots parsed back from disk; DESIGN.md §14
@@ -36,7 +37,8 @@ pub fn counter_class(name: &str) -> MetricClass {
         || name.starts_with("sampler.")             // wall-clock sampling
         || name.starts_with("serve.queue.")         // admission timing
         || name == "serve.ppr.batches"              // grouping follows drain timing
-        || name == "serve.epochs"; // delta-epoch coalescing follows drain timing
+        || name == "serve.epochs"                   // delta-epoch coalescing follows drain timing
+        || name == "serve.epoch.layout.count"; // layouts follow which epochs a PPR drain read
     if advisory {
         MetricClass::Advisory
     } else {
@@ -121,6 +123,15 @@ mod tests {
                 assert_eq!(higher_is_worse(&name), Some(true), "{name}");
             }
         }
+    }
+
+    #[test]
+    fn layout_count_is_advisory_without_direction() {
+        let name = "serve.epoch.layout.count";
+        assert_eq!(counter_class(name), MetricClass::Advisory);
+        assert_eq!(higher_is_worse(name), None);
+        // Served totals stay deterministic.
+        assert_eq!(counter_class("serve.edges.served"), MetricClass::Deterministic);
     }
 
     #[test]

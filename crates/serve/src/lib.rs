@@ -2,11 +2,11 @@
 //!
 //! The paper's §3.3 persistent-thread model (Algorithm 2) is exactly a
 //! resident engine; this crate is the serving layer ROADMAP asks for on top
-//! of it. A [`Server`] holds one immutable preprocessed state per graph
-//! epoch — the graph, the PCPM layout + `hipa_plan` ownership
-//! ([`hipa_core::PcpmPrepared`]), the resident worker pool, and converged
-//! global ranks sorted once into rank order — and serves three request
-//! classes:
+//! of it. A [`Server`] holds one immutable state per graph epoch — the
+//! graph, converged global ranks sorted once into rank order, and, from the
+//! epoch's first personalized request on, the PCPM layout + `hipa_plan`
+//! ownership ([`hipa_core::PcpmPrepared`]) and the resident worker pool —
+//! and serves three request classes:
 //!
 //! * **Top-k lookups** ([`Request::TopK`]) answered inside
 //!   [`Server::submit`], on the caller's thread, as a prefix of the newest
@@ -21,10 +21,11 @@
 //!   clients;
 //! * **Edge streaming** ([`Request::AddEdges`]): updates are committed as
 //!   *delta epochs* — all reads drained in the same scheduling cycle are
-//!   answered against the old state first, then the graph is rebuilt and
-//!   re-ranked via PageRank-Delta ([`hipa_algos::pagerank_delta`]), the new
-//!   epoch's rank order is published, and only then are the writers
-//!   acknowledged.
+//!   answered against the old state first, then the new edges are merged
+//!   into the CSR and the graph is re-ranked via PageRank-Delta
+//!   ([`hipa_algos::pagerank_delta`]), the new epoch's rank order is
+//!   published, and only then are the writers acknowledged. The commit
+//!   builds no PCPM layout; the epoch's first personalized batch does.
 //!
 //! Personalized PageRank and edge updates go through an admission queue
 //! and a single batch scheduler thread. [`Ticket::wait_timeout`] bounds a

@@ -206,8 +206,7 @@ struct SamplerCtl {
 }
 
 /// Snapshot of a [`DiGraph`]'s edges as an [`EdgeList`] (CSR order) — the
-/// form [`Server::start`] consumes, since the server needs to extend the
-/// edge set at delta epochs.
+/// form [`Server::start`] consumes.
 pub fn edge_list_of(g: &DiGraph) -> EdgeList {
     let mut edges = EdgeList::new(g.num_vertices(), Vec::new());
     for (s, d) in g.out_csr().iter_edges() {
@@ -216,31 +215,65 @@ pub fn edge_list_of(g: &DiGraph) -> EdgeList {
     edges
 }
 
-/// Everything the scheduler owns for one graph epoch.
+/// Everything the scheduler owns for one graph epoch. The PPR solver (the
+/// PCPM layout and its worker pool) is built by the epoch's first
+/// personalized batch: an epoch that no personalized request reads never
+/// pays for a layout.
 struct EpochState {
-    edges: EdgeList,
-    solver: PprSolver,
+    graph: DiGraph,
+    solver: Option<PprSolver>,
     view: Arc<RankView>,
 }
 
+/// Records the time since `t` as one sample of an epoch-build stage.
+fn stage(h: &hipa_obs::Histogram, t: Instant) {
+    h.record(t.elapsed().as_nanos() as u64);
+}
+
 impl EpochState {
-    /// Builds one epoch, recording each stage's time in `stats`.
-    fn build(edges: EdgeList, cfg: &ServeConfig, epoch: u64, stats: &ServeStats) -> EpochState {
-        let stage = |h: &hipa_obs::Histogram, t: Instant| h.record(t.elapsed().as_nanos() as u64);
+    /// Builds epoch 0 in full, layout included, recording each stage's time
+    /// in `stats`.
+    fn start(edges: &EdgeList, cfg: &ServeConfig, stats: &ServeStats) -> EpochState {
         let t = Instant::now();
-        let g = DiGraph::from_edge_list(&edges);
+        let graph = DiGraph::from_edge_list(edges);
         stage(&stats.epoch_csr, t);
+        let mut state = Self::ranked(graph, cfg, 0, stats);
+        state.solver(cfg, stats);
+        state
+    }
+
+    /// The next epoch: this epoch's graph with `edges` merged into its
+    /// CSR, re-ranked and sorted. Its layout waits for its first
+    /// personalized batch.
+    fn commit(&self, edges: &[(u32, u32)], cfg: &ServeConfig, stats: &ServeStats) -> EpochState {
         let t = Instant::now();
-        let prepared = Arc::new(PcpmPrepared::build(&g, cfg.threads, cfg.verts_per_partition));
-        let solver = PprSolver::from_prepared(prepared, &cfg.ppr);
-        stage(&stats.epoch_layout, t);
+        let graph = DiGraph::from_out_csr(self.graph.out_csr().with_edges_added(edges));
+        stage(&stats.epoch_csr, t);
+        Self::ranked(graph, cfg, self.epoch() + 1, stats)
+    }
+
+    /// Ranks `graph` with a cold PageRank-Delta and sorts the rank order.
+    fn ranked(graph: DiGraph, cfg: &ServeConfig, epoch: u64, stats: &ServeStats) -> EpochState {
         let t = Instant::now();
-        let ranks = pagerank_delta(&g, &cfg.delta).ranks;
+        let ranks = pagerank_delta(&graph, &cfg.delta).ranks;
         stage(&stats.epoch_rerank, t);
         let t = Instant::now();
         let order = rank_order(&ranks);
         stage(&stats.epoch_order, t);
-        EpochState { edges, solver, view: Arc::new(RankView { ranks, order, epoch }) }
+        EpochState { graph, solver: None, view: Arc::new(RankView { ranks, order, epoch }) }
+    }
+
+    /// This epoch's PPR solver, building its layout on the first call.
+    fn solver(&mut self, cfg: &ServeConfig, stats: &ServeStats) -> &mut PprSolver {
+        let graph = &self.graph;
+        self.solver.get_or_insert_with(|| {
+            let t = Instant::now();
+            let prepared =
+                Arc::new(PcpmPrepared::build(graph, cfg.threads, cfg.verts_per_partition));
+            let solver = PprSolver::from_prepared(prepared, &cfg.ppr);
+            stage(&stats.epoch_layout, t);
+            solver
+        })
     }
 
     fn epoch(&self) -> u64 {
@@ -256,7 +289,7 @@ impl Server {
     pub fn start(edges: EdgeList, cfg: ServeConfig) -> Server {
         let num_vertices = edges.num_vertices();
         let stats = ServeStats::default();
-        let state = EpochState::build(edges, &cfg, 0, &stats);
+        let state = EpochState::start(&edges, &cfg, &stats);
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState { pending: VecDeque::new(), shutdown: false }),
             cv: Condvar::new(),
@@ -365,7 +398,7 @@ fn respond(
 }
 
 fn scheduler_loop(shared: Arc<Shared>, mut state: EpochState, cfg: ServeConfig) {
-    let n = state.edges.num_vertices();
+    let n = state.graph.num_vertices();
     loop {
         // Admission: wait for work, then drain the whole queue in arrival
         // order. One drain = one scheduling cycle.
@@ -422,8 +455,9 @@ fn scheduler_loop(shared: Arc<Shared>, mut state: EpochState, cfg: ServeConfig) 
                 replies.push((reply, k));
                 teleports.push(teleport);
             }
+            let solver = state.solver(&cfg, &shared.stats);
             let solve_start = Instant::now();
-            let results = state.solver.solve_batch(&teleports);
+            let results = solver.solve_batch(&teleports);
             let sweeps = results.iter().map(|r| r.iterations_run).max().unwrap_or(0);
             if sweeps > 0 {
                 let ns = solve_start.elapsed().as_nanos() as u64;
@@ -443,25 +477,23 @@ fn scheduler_loop(shared: Arc<Shared>, mut state: EpochState, cfg: ServeConfig) 
             }
         }
 
-        // Delta epoch: all reads of this cycle are answered; commit the
-        // streamed edges, rebuild the resident state, re-rank via
-        // PageRank-Delta, publish the new rank view, then acknowledge the
-        // writers with the new epoch.
+        // Delta epoch: all reads of this cycle are answered; merge the
+        // streamed edges into the CSR, re-rank via PageRank-Delta, publish
+        // the new rank view, then acknowledge the writers with the new
+        // epoch. The new epoch's layout waits for its first personalized
+        // batch.
         if !edge_updates.is_empty() {
-            let mut edges = state.edges.clone();
-            let mut accepted = Vec::with_capacity(edge_updates.len());
-            for (_, batch_edges) in &edge_updates {
-                for &(s, d) in batch_edges {
-                    edges.push(s, d);
-                }
-                accepted.push(batch_edges.len());
-            }
-            state = EpochState::build(edges, &cfg, state.epoch() + 1, &shared.stats);
+            let edges: Vec<(u32, u32)> = edge_updates
+                .iter()
+                .flat_map(|(_, batch_edges)| batch_edges.iter().copied())
+                .collect();
+            state = state.commit(&edges, &cfg, &shared.stats);
             *shared.view.lock().expect("rank view poisoned") = Arc::clone(&state.view);
             shared.stats.epochs.incr();
-            for ((reply, _), accepted) in edge_updates.into_iter().zip(accepted) {
+            for (reply, batch_edges) in edge_updates {
                 shared.stats.edges_served.incr();
-                let resp = Response::EdgesCommitted { accepted, epoch: state.epoch() };
+                let resp =
+                    Response::EdgesCommitted { accepted: batch_edges.len(), epoch: state.epoch() };
                 respond(&shared, reply, resp, |s| &s.edges_latency);
             }
         }
@@ -622,6 +654,84 @@ mod tests {
             Response::Error { message } => assert!(message.contains("out of range")),
             other => panic!("unexpected response {other:?}"),
         }
+    }
+
+    /// The answer a fresh solver on `edges` gives to a personalized request.
+    fn fresh_ppr(edges: &EdgeList, cfg: &ServeConfig, sources: &[u32], k: usize) -> Response {
+        let g = DiGraph::from_edge_list(edges);
+        let prepared = Arc::new(PcpmPrepared::build(&g, cfg.threads, cfg.verts_per_partition));
+        let teleport = teleport_from_seeds(g.num_vertices(), sources).unwrap();
+        let res = PprSolver::from_prepared(prepared, &cfg.ppr).solve(&teleport);
+        Response::Ppr {
+            top: top_k(&res.ranks, k),
+            iterations: res.iterations_run,
+            converged: res.converged,
+            epoch: 0,
+        }
+    }
+
+    /// `resp` with its epoch replaced by 0, for comparison with
+    /// [`fresh_ppr`].
+    fn at_epoch_zero(resp: Response) -> (Response, u64) {
+        match resp {
+            Response::Ppr { top, iterations, converged, epoch } => {
+                (Response::Ppr { top, iterations, converged, epoch: 0 }, epoch)
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+
+    #[test]
+    fn commits_defer_the_layout_to_the_first_personalized_batch() {
+        let mut edges = edge_list_of(&hipa_graph::datasets::small_test_graph(144));
+        let cfg = small_cfg();
+        let server = Server::start(edges.clone(), cfg.clone());
+        let stats = server.stats();
+        let k = 4;
+        for i in 0..k {
+            let edge = (i * 37 % 1000, i * 101 % 1000 + 3);
+            let resp = server.call(Request::AddEdges { edges: vec![edge] });
+            assert!(matches!(resp, Response::EdgesCommitted { accepted: 1, .. }), "{resp:?}");
+            edges.push(edge.0, edge.1);
+        }
+        assert_eq!(stats.epochs.get(), k as u64);
+        assert_eq!(stats.epoch_rerank.count(), k as u64 + 1);
+        assert_eq!(stats.epoch_layout.count(), 1, "back-to-back commits built a layout");
+
+        // The first personalized read builds the newest epoch's layout, and
+        // answers exactly as a fresh solver on the grown graph does.
+        let req = |s: u32| Request::Ppr { sources: vec![s, s + 5], k: 6 };
+        let (got, epoch) = at_epoch_zero(server.call(req(11)));
+        assert_eq!(epoch, k as u64);
+        assert_eq!(got, fresh_ppr(&edges, &cfg, &[11, 16], 6));
+        assert_eq!(stats.epoch_layout.count(), 2);
+        // Later reads of the same epoch reuse it.
+        let (got, _) = at_epoch_zero(server.call(req(40)));
+        assert_eq!(got, fresh_ppr(&edges, &cfg, &[40, 45], 6));
+        assert_eq!(stats.epoch_layout.count(), 2);
+    }
+
+    #[test]
+    fn ppr_drained_with_a_commit_answers_at_the_old_epoch() {
+        let edges = edge_list_of(&hipa_graph::datasets::small_test_graph(145));
+        let ppr = PersonalizedConfig { iterations: 2000, tolerance: None, ..Default::default() };
+        let cfg = ServeConfig { ppr, ..small_cfg() };
+        let server = Server::start(edges.clone(), cfg.clone());
+        // Hold the scheduler in a long sweep, then queue a read and a write
+        // behind it so both land in its next drain.
+        let blocker = server.submit(Request::Ppr { sources: vec![0], k: 1 });
+        while server.stats().queue_depth.count() == 0 {
+            std::thread::yield_now();
+        }
+        let read = server.submit(Request::Ppr { sources: vec![7], k: 5 });
+        let write = server.submit(Request::AddEdges { edges: vec![(7, 8), (9, 7)] });
+        assert!(matches!(blocker.wait(), Response::Ppr { .. }));
+        let (got, epoch) = at_epoch_zero(read.wait());
+        assert!(matches!(write.wait(), Response::EdgesCommitted { accepted: 2, epoch: 1 }));
+        assert_eq!(*server.stats().queue_depth_series.lock().unwrap(), vec![1, 2]);
+        assert_eq!(epoch, 0, "a read drained with a commit saw the new epoch");
+        assert_eq!(got, fresh_ppr(&edges, &cfg, &[7], 5));
+        assert_eq!(server.stats().epoch_layout.count(), 1);
     }
 
     #[test]

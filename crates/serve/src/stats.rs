@@ -36,10 +36,14 @@ pub struct ServeStats {
     pub ppr_sweep: Histogram,
     /// Delta re-rank epochs committed.
     pub epochs: Counter,
-    /// Epoch-build stage times, nanoseconds, one sample per build (epoch 0
-    /// included, so each holds `epochs + 1` samples): edge list to CSR
-    /// graph, PCPM layout and solver, PageRank-Delta re-rank, and the sort
-    /// of the rank order.
+    /// Epoch-build stage times, nanoseconds: the CSR graph (built from the
+    /// edge list at start, merged from the previous epoch's at a commit),
+    /// the PCPM layout and solver, the PageRank-Delta re-rank, and the sort
+    /// of the rank order. `csr`, `rerank` and `order` hold one sample per
+    /// epoch (epoch 0 included, so `epochs + 1`); `layout` holds one per
+    /// epoch that a personalized batch read (epoch 0 always), exported as
+    /// `serve.epoch.layout.count`. Fewer layouts than `epochs + 1` means
+    /// commits that no personalized read followed.
     pub epoch_csr: Histogram,
     pub epoch_layout: Histogram,
     pub epoch_rerank: Histogram,
@@ -181,6 +185,7 @@ impl ServeStats {
         rec.set_counter("serve.ppr.batches", self.ppr_batches.get());
         rec.set_counter("serve.ppr.batched_sources", self.ppr_batched_sources.get());
         rec.set_counter("serve.epochs", self.epochs.get());
+        rec.set_counter("serve.epoch.layout.count", self.epoch_layout.count());
         let classes = [
             ("topk".to_string(), &self.topk_latency),
             ("ppr".to_string(), &self.ppr_latency),
@@ -269,6 +274,24 @@ mod tests {
         let text = stats.render_exposition(0, Duration::from_secs(1));
         assert!(text.contains("hipa_serve_epoch_stage_ns{stage=\"rerank\",quantile=\"0.5\"}"));
         assert!(text.contains("hipa_serve_epoch_stage_ns_max{stage=\"order\"}"), "{text}");
+    }
+
+    #[test]
+    fn layouts_built_export_next_to_epochs() {
+        let stats = ServeStats::default();
+        stats.epochs.add(3);
+        stats.epoch_layout.record(7);
+        let rec = Recorder::new(true);
+        stats.export_into(&rec, Duration::from_secs(1));
+        let trace = rec.finish(TraceMeta::default()).unwrap();
+        assert_eq!(trace.counter("serve.epochs"), Some(3));
+        assert_eq!(trace.counter("serve.epoch.layout.count"), Some(1));
+        assert_eq!(trace.counter("serve.epoch.rerank.count"), None);
+        // Zero layouts still export, so the trace always carries the name.
+        let rec = Recorder::new(true);
+        ServeStats::default().export_into(&rec, Duration::from_secs(1));
+        let trace = rec.finish(TraceMeta::default()).unwrap();
+        assert_eq!(trace.counter("serve.epoch.layout.count"), Some(0));
     }
 
     #[test]
