@@ -5,8 +5,11 @@
 //! partition-centric implementation built on the same [`hipa_core::PcpmLayout`]
 //! scatter/gather machinery (compressed inter-edges, cache-sized partitions,
 //! disjoint per-thread ownership), demonstrating that the hierarchical
-//! partitioning generalises exactly as the paper claims. [`topk`] holds the
-//! rank order every top-k consumer shares.
+//! partitioning generalises exactly as the paper claims. The resident
+//! [`SpmvWorkspace`] behind personalized PageRank instead pulls each
+//! destination's sources in that machinery's summation order
+//! ([`hipa_core::PcpmPrepared`]), bit for bit the same sums. [`topk`] holds
+//! the rank order every top-k consumer shares.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod bfs;

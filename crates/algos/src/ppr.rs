@@ -2,13 +2,16 @@
 //! distribution* instead of uniformly — the standard tool for
 //! seed-relative importance (e.g. "importance as seen from this user").
 //!
-//! Implemented as power iteration over the same partition-centric SpMV the
-//! other extensions use: `r ← (1-d)·p + d·Aᵀ(r ⊘ outdeg)`, with dangling
-//! mass optionally redirected to the preference vector.
+//! Implemented as power iteration over the resident SpMV:
+//! `r ← (1-d)·p + d·Aᵀ(r ⊘ outdeg)`, with dangling mass optionally
+//! redirected to the preference vector. Each sweep pulls every
+//! destination's sources in the partition-centric push order, so results
+//! are bitwise those of the push the solver used to run.
 //!
 //! [`PprSolver`] is the resident form: it owns one [`SpmvWorkspace`]
-//! (layout/plan/pool built once) plus the precomputed inverse-degree and
-//! dangling-vertex tables, and solves many preference vectors against them —
+//! (source lists, destination ranges and pool built once) plus the
+//! precomputed inverse-degree and dangling-vertex tables, and solves many
+//! preference vectors against them —
 //! one at a time ([`solve`](PprSolver::solve)) or as a batch
 //! ([`solve_batch`](PprSolver::solve_batch)) where every power iteration
 //! advances the whole batch through **one** multi-vector graph sweep.
@@ -92,8 +95,8 @@ pub fn teleport_from_seeds(num_vertices: usize, seeds: &[u32]) -> Result<Vec<f32
 }
 
 /// A resident personalized-PageRank engine over one graph snapshot: the
-/// expensive preprocessing (PCPM layout, `hipa_plan`, worker pool, inverse
-/// degrees, dangling list) happens once in [`new`](Self::new) and is reused
+/// expensive preprocessing (per-destination source lists, destination
+/// ranges, worker pool, inverse degrees, dangling list) happens once in [`new`](Self::new) and is reused
 /// by every subsequent solve — the one-shot path used to redo all of it on
 /// **every power iteration**.
 pub struct PprSolver {
@@ -144,7 +147,7 @@ impl PprSolver {
 
     /// Solves a batch of preference vectors through shared multi-vector
     /// sweeps: each power iteration makes **one** pass over the graph for
-    /// the whole batch, amortizing the scatter/gather traffic across all
+    /// the whole batch, amortizing the graph traffic across all
     /// still-active vectors. A vector that converges leaves the batch, so
     /// `results[b]` is bitwise identical to `solve(&teleports[b])`.
     pub fn solve_batch(&mut self, teleports: &[Vec<f32>]) -> Vec<PersonalizedResult> {
@@ -304,14 +307,19 @@ pub fn personalized_from_seed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spmv::PushOracle;
     use hipa_core::{reference_pagerank, DanglingPolicy, PageRankConfig};
     use hipa_graph::gen::{cycle, star};
 
     /// The vector-major batch solve this module used to run (members at
-    /// `b*n..(b+1)*n`, frozen in place by an `active` mask), kept verbatim
-    /// as the oracle for the interleaved solve.
+    /// `b*n..(b+1)*n`, frozen in place by an `active` mask) over the
+    /// partition-centric push, kept as the oracle for the interleaved pull.
     impl PprSolver {
-        fn solve_vector_major(&mut self, teleports: &[&[f32]]) -> Vec<PersonalizedResult> {
+        fn solve_vector_major(
+            &mut self,
+            oracle: &mut PushOracle,
+            teleports: &[&[f32]],
+        ) -> Vec<PersonalizedResult> {
             let prep = Arc::clone(self.ws.prepared());
             let n = prep.num_vertices;
             let k = teleports.len();
@@ -348,7 +356,7 @@ mod tests {
                         }
                     }
                 }
-                self.ws.run_batch_vector_major(&x, &mut y, &active);
+                oracle.run_batch_vector_major(&x, &mut y, &active);
                 for b in 0..k {
                     if !active[b] {
                         continue;
@@ -494,7 +502,7 @@ mod tests {
     }
 
     /// The integration corpus of `tests/serve.rs` (indices 0–4), then
-    /// seeded random graphs.
+    /// seeded random graphs; the last keeps multi-edges and self-loops.
     fn corpus_graph(i: usize, seed: u64) -> DiGraph {
         use hipa_graph::gen::{barabasi_albert, erdos_renyi, path};
         let edges = match i {
@@ -507,7 +515,16 @@ mod tests {
                 let n = 20 + (seed % 300) as usize;
                 erdos_renyi(n, n * (1 + (seed % 8) as usize), seed)
             }
-            _ => barabasi_albert(30 + (seed % 400) as usize, 1 + (seed % 4) as usize, seed),
+            6 => barabasi_albert(30 + (seed % 400) as usize, 1 + (seed % 4) as usize, seed),
+            _ => {
+                let n = 10 + (seed % 200) as u32;
+                let pairs = (0..6 * n).map(|i| {
+                    let h =
+                        (i as u64 + 1).wrapping_mul(seed | 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    ((h >> 40) as u32 % n, (h >> 20) as u32 % (n / 3 + 1))
+                });
+                hipa_graph::EdgeList::new(n as usize, pairs.map(Into::into).collect())
+            }
         };
         DiGraph::from_edge_list(&edges)
     }
@@ -529,12 +546,18 @@ mod tests {
             .collect()
     }
 
-    /// Solves `teleports` three ways — interleaved batch, the vector-major
-    /// oracle, one solo solve each — and checks every result bit.
-    fn assert_batch_matches_oracle_and_solo(solver: &mut PprSolver, teleports: &[Vec<f32>]) {
+    /// Solves `teleports` on `g` three ways — interleaved batch, the
+    /// vector-major push oracle, one solo solve each — and checks every
+    /// result bit.
+    fn assert_batch_matches_oracle_and_solo(
+        g: &DiGraph,
+        solver: &mut PprSolver,
+        teleports: &[Vec<f32>],
+    ) {
         let slices: Vec<&[f32]> = teleports.iter().map(|t| t.as_slice()).collect();
         let batch = solver.solve_batch(teleports);
-        let oracle = solver.solve_vector_major(&slices);
+        let mut push = PushOracle::new(g, solver.cfg.verts_per_partition);
+        let oracle = solver.solve_vector_major(&mut push, &slices);
         for (b, t) in teleports.iter().enumerate() {
             let solo = solver.solve(t);
             for (name, want) in [("oracle", &oracle[b]), ("solo", &solo)] {
@@ -569,7 +592,7 @@ mod tests {
         let runs: Vec<(usize, bool)> =
             batch.iter().map(|r| (r.iterations_run, r.converged)).collect();
         assert!(runs.iter().any(|r| r.1) && runs.iter().any(|r| !r.1), "{runs:?}");
-        assert_batch_matches_oracle_and_solo(&mut solver, &teleports);
+        assert_batch_matches_oracle_and_solo(&g, &mut solver, &teleports);
     }
 
     #[test]
@@ -586,11 +609,11 @@ mod tests {
         /// freeze pattern (tolerance or cap, dangling mass on or off).
         #[test]
         fn interleaved_batch_is_bitwise_the_oracle(
-            graph in 0usize..7,
+            graph in 0usize..8,
             seed in 0u64..10_000,
-            wi in 0usize..5,
+            wi in 0usize..7,
             threads in 1usize..4,
-            vi in 0usize..3,
+            vi in 0usize..5,
             cap in 1usize..60,
             ti in 0usize..3,
             redistribute in 0u8..2,
@@ -601,12 +624,13 @@ mod tests {
                 tolerance: Some([1e-3, 1e-5, 1e-7][ti]),
                 redistribute_dangling: redistribute == 1,
                 threads,
-                verts_per_partition: [7, 32, 256][vi],
+                verts_per_partition: [1, 7, 32, 256, 1 << 20][vi],
                 ..Default::default()
             };
-            let w = [1, 2, 3, 8, 33][wi];
+            let w = [1, 2, 3, 4, 8, 16, 33][wi];
             let mut solver = PprSolver::new(&g, &cfg);
             assert_batch_matches_oracle_and_solo(
+                &g,
                 &mut solver,
                 &staggered_teleports(g.num_vertices(), w, seed),
             );

@@ -4,30 +4,28 @@
 //! its extension list. Here `y = Aᵀx` with `A` the (unweighted) adjacency
 //! matrix: `y[v] = Σ_{u→v} x[u]` — exactly PageRank's propagation step
 //! without damping — computed either directly from the in-CSR (reference)
-//! or with the partition-centric compressed scatter/gather layout plus
-//! per-thread partition ownership (HiPa methodology).
+//! or as a destination-owned pull over [`PcpmPrepared`]'s source lists,
+//! which hold each destination's in-neighbours in the partition-centric
+//! push order (intra sources ascending, then every other source ascending).
 //!
-//! [`SpmvWorkspace`] is the resident form: it builds the layout, the
-//! `hipa_plan` ownership map and the worker pool **once** and runs many
+//! [`SpmvWorkspace`] is the resident form: it builds the source lists, the
+//! per-thread destination ranges and the worker pool **once** and runs many
 //! sweeps (`run`), including multi-vector batches (`run_batch_into`) that
 //! amortize one graph pass across a batch of input vectors. A batch is
-//! vertex-interleaved — entry `v` of vector `b` sits at `v*w + b`, message
-//! slots likewise at `slot*w + b` — so each intra-edge and each gathered
-//! destination moves `w` contiguous values in one plain loop, and a solo
-//! sweep is simply the width-1 case of the same kernel. Every element is
-//! still summed in the solo order (intra contributions in source order,
-//! then inbox slots ascending), so batching never changes a result bit.
-//! The historical one-shot entry point [`spmv_partition_centric`] is a thin
-//! wrapper that builds a workspace, runs once, and drops it —
-//! bitwise-identical output.
+//! vertex-interleaved — entry `v` of vector `b` sits at `v*w + b` — so each
+//! source row is `w` contiguous values, summed in register-wide chunks of up
+//! to 32 lanes, and a solo sweep is simply the width-1 case of the same
+//! kernel. Every element is summed in
+//! the push kernel's order, so neither batching nor the thread count nor
+//! the pull itself changes a result bit; the push survives as the test-only
+//! oracle below. Each sweep is one pool scope. The historical one-shot
+//! entry point [`spmv_partition_centric`] is a thin wrapper that builds a
+//! workspace, runs once, and drops it — bitwise-identical output.
 //!
-//! disjointness: HiPa plan (`hipa_plan`) — each scatter job writes the PNG
-//! message slots sourced from its own partitions plus the `y` entries of its
-//! own partitions (intra-edges stay inside the source partition), and each
-//! gather job writes the `y` entries of its own partitions; the two phases
-//! are separated by a pool-scope join and each phase wraps its outputs in a
-//! fresh `SharedSlice`, so every element has a single writer job (= thread)
-//! per slice lifetime.
+//! disjointness: destination ranges (`dst_ranges`) — each pool job writes
+//! the `y` entries `v*w..(v+1)*w` of the destinations in its own contiguous
+//! range `PcpmPrepared::thread_dsts[j]` and only reads `x`, so every output
+//! element has a single writer job (= thread) per slice lifetime.
 
 use hipa_core::disjoint::SharedSlice;
 use hipa_core::PcpmPrepared;
@@ -51,23 +49,20 @@ pub fn spmv_reference(g: &DiGraph, x: &[f32]) -> Vec<f32> {
 }
 
 /// A resident partition-centric SpMV engine: one preprocessed state
-/// ([`PcpmPrepared`]: layout + plan + degree tables), one persistent worker
-/// pool, and a reusable message-slot scratch buffer. Build once, run many
-/// times — each [`run`](Self::run) costs only the sweep itself, none of the
+/// ([`PcpmPrepared`]: source lists + destination ranges + degree tables)
+/// and one persistent worker pool. Build once, run many times — each
+/// [`run`](Self::run) costs only the sweep itself, none of the
 /// preprocessing the one-shot path used to repeat per call.
 ///
-/// Accumulation order per element matches the PageRank engines (intra
-/// contributions in source order during scatter, then inbox messages in
-/// ascending slot order during gather), per input vector independently, so
-/// every entry is bitwise-deterministic for any thread count, any batch
-/// width, and identical between the one-shot and resident paths.
+/// Accumulation order per element matches the partition-centric PageRank
+/// push (intra contributions in source order, then inbox messages in
+/// ascending slot order), per input vector independently, so every entry is
+/// bitwise-deterministic for any thread count, any batch width, and
+/// identical between the one-shot and resident paths.
 pub struct SpmvWorkspace {
     prepared: Arc<PcpmPrepared>,
     /// Resident workers (`None` when a single worker runs the sweep inline).
     pool: Option<rayon::ThreadPool>,
-    /// Message-slot values, `total_msgs × width` interleaved (`vals[slot*w +
-    /// b]`), reused across runs.
-    vals: Vec<f32>,
 }
 
 impl SpmvWorkspace {
@@ -86,7 +81,7 @@ impl SpmvWorkspace {
                 .build()
                 .expect("pool build cannot fail")
         });
-        SpmvWorkspace { prepared, pool, vals: Vec::new() }
+        SpmvWorkspace { prepared, pool }
     }
 
     /// The shared preprocessed state this workspace sweeps against.
@@ -110,10 +105,11 @@ impl SpmvWorkspace {
 
     /// Batched SpMV over `width` vertex-interleaved vectors: `xs[v*width + b]`
     /// is entry `v` of input vector `b`, and `ys` is laid out the same way.
-    /// One graph pass serves the whole batch; every edge moves `width`
-    /// contiguous values, so the inner loop is a plain add with no per-vector
-    /// bookkeeping, and `width == 1` is the solo sweep. Each vector's output
-    /// is bitwise identical to a solo [`run`](Self::run) on the same input.
+    /// One graph pass serves the whole batch: each destination sums its
+    /// sources' `width`-value rows into a local accumulator and stores it
+    /// once, so `ys` needs no clearing and `width == 1` is the solo sweep.
+    /// Each vector's output is bitwise identical to a solo [`run`](Self::run)
+    /// on the same input.
     pub fn run_batch_into(&mut self, xs: &[f32], ys: &mut [f32], width: usize) {
         let n = self.prepared.num_vertices;
         assert_eq!(xs.len(), width * n, "input batch length mismatch");
@@ -121,69 +117,25 @@ impl SpmvWorkspace {
         if n == 0 || width == 0 {
             return;
         }
-        ys.fill(0.0);
-
         let prep = &*self.prepared;
-        let layout = &prep.layout;
-        let w = width;
-        self.vals.resize(w * layout.total_msgs as usize, 0.0);
-
-        // Phase 1 — scatter: intra-edges apply directly into the owner's own
-        // partitions of `ys`; inter-edges write their compressed message
-        // slots (`vals[slot*w + b]`). The pool-scope join is the barrier.
-        {
-            let y_s = SharedSlice::new(ys);
-            let vals_s = SharedSlice::new(&mut self.vals);
-            let scatter_part = |my: Range<usize>| {
-                for p in my {
-                    let vr = layout.partition_vertices(p);
-                    for v in vr.start as usize..vr.end as usize {
-                        let xv = &xs[v * w..][..w];
-                        for &dst in layout.intra_of(v as u32) {
-                            let base = dst as usize * w;
-                            for (b, &xb) in xv.iter().enumerate() {
-                                // SAFETY: intra destinations stay in this
-                                // job's own partitions.
-                                unsafe { y_s.update(base + b, |a| *a += xb) };
-                            }
-                        }
-                    }
-                    for pair in layout.png_of(p) {
-                        for (i, &src) in layout.png_sources(pair).iter().enumerate() {
-                            let base = (pair.slot_start as usize + i) * w;
-                            for (b, &xb) in xs[src as usize * w..][..w].iter().enumerate() {
-                                // SAFETY: one writer per slot — slots are
-                                // sourced from exactly one partition.
-                                unsafe { vals_s.write(base + b, xb) };
-                            }
-                        }
-                    }
+        let y_s = SharedSlice::new(ys);
+        // The widest power-of-two chunk, up to 32 lanes, that fits the row.
+        let pull = |dsts: Range<usize>| match width {
+            1 => pull_rows::<1>(prep, xs, &y_s, dsts, 1),
+            2..=3 => pull_rows::<2>(prep, xs, &y_s, dsts, width),
+            4..=7 => pull_rows::<4>(prep, xs, &y_s, dsts, width),
+            8..=15 => pull_rows::<8>(prep, xs, &y_s, dsts, width),
+            16..=31 => pull_rows::<16>(prep, xs, &y_s, dsts, width),
+            _ => pull_rows::<32>(prep, xs, &y_s, dsts, width),
+        };
+        match &self.pool {
+            Some(pool) => pool.scope(|s| {
+                for dsts in prep.thread_dsts.iter().cloned() {
+                    let pull = &pull;
+                    s.spawn(move |_| pull(dsts));
                 }
-            };
-            on_owners(&self.pool, &prep.thread_parts, &scatter_part);
-        }
-
-        // Phase 2 — gather: each owner streams its partitions' inboxes
-        // (read-only now) and accumulates into its own `ys` entries.
-        {
-            let y_s = SharedSlice::new(ys);
-            let vals: &[f32] = &self.vals;
-            let gather_part = |my: Range<usize>| {
-                for q in my {
-                    for slot in layout.part_slot_ranges[q].clone() {
-                        let msg = &vals[slot as usize * w..][..w];
-                        for &dst in layout.dests_of(slot) {
-                            let base = dst as usize * w;
-                            for (b, &m) in msg.iter().enumerate() {
-                                // SAFETY: destinations lie in q, owned by
-                                // this job alone.
-                                unsafe { y_s.update(base + b, |a| *a += m) };
-                            }
-                        }
-                    }
-                }
-            };
-            on_owners(&self.pool, &prep.thread_parts, &gather_part);
+            }),
+            None => prep.thread_dsts.iter().cloned().for_each(pull),
         }
     }
 
@@ -205,27 +157,45 @@ impl SpmvWorkspace {
     }
 }
 
-/// Runs `job` once per `hipa_plan` owner range: one pool job per range, or
-/// inline in owner order without a pool. Returns after every job (the pool
-/// scope's join is the phase barrier).
-fn on_owners(
-    pool: &Option<rayon::ThreadPool>,
-    parts: &[Range<usize>],
-    job: &(dyn Fn(Range<usize>) + Sync),
+/// The pull for one destination range at batch width `w >= C`. Each
+/// destination walks its source list once per `C`-lane chunk of its row,
+/// summing the chunk into a register accumulator in list order and storing
+/// it once. When `C` does not divide `w`, the last chunk ends at the row's
+/// end and overlaps its predecessor: the shared lanes are summed again in
+/// the same order, to the same bits, by the same job. Lanes never mix, so
+/// the chunking changes no result bit.
+fn pull_rows<const C: usize>(
+    prep: &PcpmPrepared,
+    xs: &[f32],
+    y_s: &SharedSlice<'_, f32>,
+    dsts: Range<usize>,
+    w: usize,
 ) {
-    match pool {
-        Some(pool) => pool.scope(|s| {
-            for my in parts.iter().cloned() {
-                s.spawn(move |_| job(my));
+    // One-lane chunks serve only the solo sweep: a constant stride there.
+    let w = if C == 1 { 1 } else { w };
+    let chunks = w.div_ceil(C);
+    for v in dsts {
+        let srcs = prep.sources_of(v);
+        for k in 0..chunks {
+            let lane = (k * C).min(w - C);
+            let mut acc = [0.0f32; C];
+            for &s in srcs {
+                let row: &[f32; C] = xs[s as usize * w + lane..][..C].try_into().expect("C lanes");
+                for (a, &x) in acc.iter_mut().zip(row) {
+                    *a += x;
+                }
             }
-        }),
-        None => parts.iter().cloned().for_each(job),
+            for (b, &a) in acc.iter().enumerate() {
+                // SAFETY: `v` lies in this job's own destination range.
+                unsafe { y_s.write(v * w + lane + b, a) };
+            }
+        }
     }
 }
 
-/// Partition-centric SpMV: scatter `x` through the compressed message bins,
-/// gather per destination partition, with `threads` workers owning disjoint
-/// partition groups (one-to-many, as in HiPa §3.2).
+/// Partition-centric SpMV: each of `threads` workers pulls its own
+/// destination range's sources in the push order of `verts_per_partition`-
+/// vertex partitions (HiPa §3.2–3.4's summation, destination-owned).
 ///
 /// One-shot wrapper over [`SpmvWorkspace`]: builds the full preprocessed
 /// state, sweeps once, drops it. Prefer a workspace for anything iterative.
@@ -243,13 +213,28 @@ pub fn spmv_partition_centric(
     SpmvWorkspace::new(g, threads, verts_per_partition).run(x)
 }
 
-/// The vector-major batch sweep this module used to run (vector `b` at
-/// `b*n..(b+1)*n`, an `active` mask per vector), kept verbatim as the
-/// oracle the interleaved kernel is checked against bit for bit.
+/// The partition-centric push this module used to run — scatter intra
+/// contributions and PNG message slots, then gather each inbox — in its
+/// vector-major batch form (vector `b` at `b*n..(b+1)*n`, an `active` mask
+/// per vector), kept as the oracle the pull kernel is checked against bit
+/// for bit. It walks every partition in order on the calling thread: a
+/// push's per-element summation order never depended on the owner map.
 #[cfg(test)]
-impl SpmvWorkspace {
+pub(crate) struct PushOracle {
+    layout: hipa_core::PcpmLayout,
+    vals: Vec<f32>,
+}
+
+#[cfg(test)]
+impl PushOracle {
+    pub(crate) fn new(g: &DiGraph, verts_per_partition: usize) -> Self {
+        let layout = hipa_core::PcpmLayout::build(g.out_csr(), verts_per_partition.max(1), false);
+        PushOracle { layout, vals: Vec::new() }
+    }
+
     pub(crate) fn run_batch_vector_major(&mut self, xs: &[f32], ys: &mut [f32], active: &[bool]) {
-        let n = self.prepared.num_vertices;
+        let layout = &self.layout;
+        let n = layout.num_vertices;
         let k = active.len();
         assert_eq!(xs.len(), k * n, "input batch length mismatch");
         assert_eq!(ys.len(), k * n, "output batch length mismatch");
@@ -261,101 +246,44 @@ impl SpmvWorkspace {
                 ys[b * n..(b + 1) * n].fill(0.0);
             }
         }
-
-        let prep = &*self.prepared;
-        let layout = &prep.layout;
         let tm = layout.total_msgs as usize;
         self.vals.resize(k * tm, 0.0);
 
-        // Phase 1 — scatter: intra-edges apply directly into the owner's own
-        // partitions of `ys`; inter-edges write their compressed message
-        // slots. The pool-scope join is the barrier.
-        {
-            let y_s = SharedSlice::new(ys);
-            let vals_s = SharedSlice::new(&mut self.vals);
-            let scatter_part = |my: Range<usize>| {
-                for p in my {
-                    let vr = layout.partition_vertices(p);
-                    for v in vr.start as usize..vr.end as usize {
-                        for &dst in layout.intra_of(v as u32) {
-                            for b in 0..k {
-                                if active[b] {
-                                    // SAFETY: intra destinations stay in
-                                    // this job's own partitions.
-                                    unsafe {
-                                        y_s.update(b * n + dst as usize, |a| *a += xs[b * n + v])
-                                    };
-                                }
-                            }
-                        }
-                    }
-                    for pair in layout.png_of(p) {
-                        for (i, &src) in layout.png_sources(pair).iter().enumerate() {
-                            let slot = pair.slot_start as usize + i;
-                            for b in 0..k {
-                                if active[b] {
-                                    // SAFETY: one writer per slot — slots
-                                    // are sourced from exactly one
-                                    // partition.
-                                    unsafe {
-                                        vals_s.write(b * tm + slot, xs[b * n + src as usize])
-                                    };
-                                }
-                            }
+        // Phase 1 — scatter: intra-edges apply directly into `ys`;
+        // inter-edges write their compressed message slots.
+        for p in 0..layout.num_partitions {
+            let vr = layout.partition_vertices(p);
+            for v in vr.start as usize..vr.end as usize {
+                for &dst in layout.intra_of(v as u32) {
+                    for b in 0..k {
+                        if active[b] {
+                            ys[b * n + dst as usize] += xs[b * n + v];
                         }
                     }
                 }
-            };
-            match &self.pool {
-                Some(pool) => pool.scope(|s| {
-                    for my in prep.thread_parts.iter().cloned() {
-                        let f = &scatter_part;
-                        s.spawn(move |_| f(my));
-                    }
-                }),
-                None => {
-                    for my in prep.thread_parts.iter().cloned() {
-                        scatter_part(my);
+            }
+            for pair in layout.png_of(p) {
+                for (i, &src) in layout.png_sources(pair).iter().enumerate() {
+                    let slot = pair.slot_start as usize + i;
+                    for b in 0..k {
+                        if active[b] {
+                            self.vals[b * tm + slot] = xs[b * n + src as usize];
+                        }
                     }
                 }
             }
         }
 
-        // Phase 2 — gather: each owner streams its partitions' inboxes
-        // (read-only now) and accumulates into its own `ys` entries.
-        {
-            let y_s = SharedSlice::new(ys);
-            let vals: &[f32] = &self.vals;
-            let gather_part = |my: Range<usize>| {
-                for q in my {
-                    for slot in layout.part_slot_ranges[q].clone() {
-                        let base = slot as usize;
-                        for &dst in layout.dests_of(slot) {
-                            for b in 0..k {
-                                if active[b] {
-                                    // SAFETY: destinations lie in q, owned
-                                    // by this job alone.
-                                    unsafe {
-                                        y_s.update(b * n + dst as usize, |a| {
-                                            *a += vals[b * tm + base]
-                                        })
-                                    };
-                                }
-                            }
+        // Phase 2 — gather: each partition streams its inbox and
+        // accumulates into its own `ys` entries.
+        for q in 0..layout.num_partitions {
+            for slot in layout.part_slot_ranges[q].clone() {
+                let base = slot as usize;
+                for &dst in layout.dests_of(slot) {
+                    for b in 0..k {
+                        if active[b] {
+                            ys[b * n + dst as usize] += self.vals[b * tm + base];
                         }
-                    }
-                }
-            };
-            match &self.pool {
-                Some(pool) => pool.scope(|s| {
-                    for my in prep.thread_parts.iter().cloned() {
-                        let f = &gather_part;
-                        s.spawn(move |_| f(my));
-                    }
-                }),
-                None => {
-                    for my in prep.thread_parts.iter().cloned() {
-                        gather_part(my);
                     }
                 }
             }
@@ -455,23 +383,33 @@ mod tests {
 
     #[test]
     fn interleaved_sweep_matches_vector_major_oracle() {
-        let g = hipa_graph::datasets::small_test_graph(85);
-        let n = g.num_vertices();
-        for (threads, vpp, w) in [(1, 7, 2), (2, 32, 5), (3, 256, 33)] {
-            let mut ws = SpmvWorkspace::new(&g, threads, vpp);
-            // Non-dyadic values, so any change in summation order shows.
-            let major: Vec<f32> = (0..w * n).map(|i| 1.0 / (1 + (i * 11) % 17) as f32).collect();
-            let mut want = vec![0.0f32; w * n];
-            ws.run_batch_vector_major(&major, &mut want, &vec![true; w]);
-            let inter: Vec<f32> = (0..w * n).map(|i| major[(i % w) * n + i / w]).collect();
-            let mut got = vec![0.0f32; w * n];
-            ws.run_batch_into(&inter, &mut got, w);
-            for i in 0..w * n {
-                assert_eq!(
-                    got[i].to_bits(),
-                    want[(i % w) * n + i / w].to_bits(),
-                    "t={threads} w={w}"
-                );
+        // A dataset graph, and one with multi-edges and self-loops (which
+        // the dataset simplifies away).
+        let mut pairs: Vec<_> = (0..400u32).map(|i| ((i * 37) % 90, (i * i + 3) % 90)).collect();
+        pairs.extend([(5, 5), (5, 5), (89, 0)]);
+        let multi = EdgeList::from_pairs(pairs);
+        for g in [hipa_graph::datasets::small_test_graph(85), DiGraph::from_edge_list(&multi)] {
+            let n = g.num_vertices();
+            for vpp in [1, 7, 32, 256, 1 << 20] {
+                let mut oracle = PushOracle::new(&g, vpp);
+                for (threads, w) in (1..=3).flat_map(|t| [1, 2, 3, 4, 8, 16, 33].map(|w| (t, w))) {
+                    let mut ws = SpmvWorkspace::new(&g, threads, vpp);
+                    // Non-dyadic values, so any change in summation order shows.
+                    let major: Vec<f32> =
+                        (0..w * n).map(|i| 1.0 / (1 + (i * 11) % 17) as f32).collect();
+                    let mut want = vec![0.0f32; w * n];
+                    oracle.run_batch_vector_major(&major, &mut want, &vec![true; w]);
+                    let inter: Vec<f32> = (0..w * n).map(|i| major[(i % w) * n + i / w]).collect();
+                    let mut got = vec![0.0f32; w * n];
+                    ws.run_batch_into(&inter, &mut got, w);
+                    for i in 0..w * n {
+                        assert_eq!(
+                            got[i].to_bits(),
+                            want[(i % w) * n + i / w].to_bits(),
+                            "t={threads} vpp={vpp} w={w}"
+                        );
+                    }
+                }
             }
         }
     }

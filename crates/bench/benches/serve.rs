@@ -19,8 +19,8 @@ fn graph() -> DiGraph {
     small_test_graph(77)
 }
 
-/// One SpMV through the one-shot wrapper (rebuilds layout + plan + pool
-/// every call — the pre-fix hot path) vs a resident workspace.
+/// One SpMV through the one-shot wrapper (rebuilds source lists, ranges and
+/// pool every call — the pre-fix hot path) vs a resident workspace.
 fn bench_spmv_residency(c: &mut Criterion) {
     let g = graph();
     let n = g.num_vertices();

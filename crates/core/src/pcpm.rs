@@ -38,17 +38,26 @@ const CHUNK_VERTS: usize = 4096;
 /// Process-wide tally of layout constructions. Bumped once per build —
 /// at the head of the sequential builder and of the parallel builder's
 /// non-delegating path, so a parallel build that falls back to the
-/// sequential one still counts exactly once.
+/// sequential one still counts exactly once — and once per
+/// [`crate::PcpmPrepared::build`] (its pull layout, see [`count_layout_build`]).
 static LAYOUT_BUILDS: AtomicU64 = AtomicU64::new(0);
 
-/// Total [`PcpmLayout`] builds since process start (monotonic). The serve
-/// census reads deltas of this to prove that a batch of requests reused one
-/// resident layout instead of rebuilding per call.
+/// Total layout builds since process start (monotonic): every
+/// [`PcpmLayout`] the engines build plus every resident pull layout a
+/// [`crate::PcpmPrepared::build`] makes. The serve census reads deltas of
+/// this to prove that a batch of requests reused one resident layout
+/// instead of rebuilding per call.
 pub fn layout_builds_total() -> u64 {
     // ordering: relaxed (monotonic statistics counter; callers read deltas
     // after the builds they issued have returned — no payload is published
     // through it).
     LAYOUT_BUILDS.load(Ordering::Relaxed)
+}
+
+/// Counts one layout build toward [`layout_builds_total`].
+pub(crate) fn count_layout_build() {
+    // ordering: relaxed (statistics tally; see `layout_builds_total`).
+    LAYOUT_BUILDS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// The built layout. All index arrays are `u64`-offset CSR-style.
@@ -142,8 +151,7 @@ impl PcpmLayout {
         compress_inter: bool,
     ) -> Self {
         assert!(verts_per_partition >= 1);
-        // ordering: relaxed (statistics tally; see `layout_builds_total`).
-        LAYOUT_BUILDS.fetch_add(1, Ordering::Relaxed);
+        count_layout_build();
         let n = csr.num_vertices();
         let num_partitions = n.div_ceil(verts_per_partition).max(1);
         let part_of = |v: u32| v as usize / verts_per_partition;
@@ -372,8 +380,7 @@ impl PcpmLayout {
             );
         }
         assert!(verts_per_partition >= 1);
-        // ordering: relaxed (statistics tally; see `layout_builds_total`).
-        LAYOUT_BUILDS.fetch_add(1, Ordering::Relaxed);
+        count_layout_build();
         let num_partitions = n.div_ceil(verts_per_partition).max(1);
         let part_of = |v: u32| v as usize / verts_per_partition;
 

@@ -15,7 +15,8 @@
 //!   throughput) are gated by a configurable relative threshold.
 //! * the `hipa-perf` binary — `hipa-perf diff A B` renders a delta table
 //!   and exits nonzero on regression, which is what the CI perf-gate and
-//!   `results/run_all.sh` call.
+//!   `results/run_all.sh` call; `hipa-perf pairs` runs two benchmark
+//!   executables in alternating pairs and tabulates them ([`pairs`]).
 //!
 //! The deterministic/advisory split is the load-bearing idea (DESIGN.md
 //! §14): this repo's engines produce bit-identical ranks and modelled
@@ -25,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 pub mod diff;
+pub mod pairs;
 pub mod policy;
 pub mod snapshot;
 

@@ -4,8 +4,9 @@
 //! resident engine; this crate is the serving layer ROADMAP asks for on top
 //! of it. A [`Server`] holds one immutable state per graph epoch — the
 //! graph, converged global ranks sorted once into rank order, and, from the
-//! epoch's first personalized request on, the PCPM layout + `hipa_plan`
-//! ownership ([`hipa_core::PcpmPrepared`]) and the resident worker pool —
+//! epoch's first personalized request on, the per-destination source lists
+//! and thread ranges ([`hipa_core::PcpmPrepared`]) and the resident worker
+//! pool —
 //! and serves three request classes:
 //!
 //! * **Top-k lookups** ([`Request::TopK`]) answered inside
@@ -13,8 +14,9 @@
 //!   published epoch's rank order: no sort, no queue, no waiting behind a
 //!   sweep or a rebuild;
 //! * **Personalized PageRank** ([`Request::Ppr`]): many user source sets are
-//!   grouped and advanced through **one multi-vector partition-centric
-//!   sweep** per power iteration ([`hipa_algos::PprSolver::solve_batch`]),
+//!   grouped and advanced through **one multi-vector sweep** per power
+//!   iteration ([`hipa_algos::PprSolver::solve_batch`]) — a pull that sums
+//!   each destination's sources in the partition-centric push order —
 //!   amortizing the graph pass across the batch — and, because batch
 //!   members freeze individually at their own convergence, every response
 //!   is bitwise identical to a solo solve, so batching is invisible to
@@ -25,7 +27,7 @@
 //!   into the CSR and the graph is re-ranked via PageRank-Delta
 //!   ([`hipa_algos::pagerank_delta`]), the new epoch's rank order is
 //!   published, and only then are the writers acknowledged. The commit
-//!   builds no PCPM layout; the epoch's first personalized batch does.
+//!   builds no source lists; the epoch's first personalized batch does.
 //!
 //! Personalized PageRank and edge updates go through an admission queue
 //! and a single batch scheduler thread. [`Ticket::wait_timeout`] bounds a

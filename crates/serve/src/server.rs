@@ -215,10 +215,10 @@ pub fn edge_list_of(g: &DiGraph) -> EdgeList {
     edges
 }
 
-/// Everything the scheduler owns for one graph epoch. The PPR solver (the
-/// PCPM layout and its worker pool) is built by the epoch's first
-/// personalized batch: an epoch that no personalized request reads never
-/// pays for a layout.
+/// Everything the scheduler owns for one graph epoch. The PPR solver (its
+/// `PcpmPrepared` source lists — the epoch's "layout" — and its worker pool)
+/// is built by the epoch's first personalized batch: an epoch that no
+/// personalized request reads never pays for a layout.
 struct EpochState {
     graph: DiGraph,
     solver: Option<PprSolver>,

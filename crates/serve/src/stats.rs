@@ -38,7 +38,8 @@ pub struct ServeStats {
     pub epochs: Counter,
     /// Epoch-build stage times, nanoseconds: the CSR graph (built from the
     /// edge list at start, merged from the previous epoch's at a commit),
-    /// the PCPM layout and solver, the PageRank-Delta re-rank, and the sort
+    /// the `PcpmPrepared` source lists and solver (the `layout` stage), the
+    /// PageRank-Delta re-rank, and the sort
     /// of the rank order. `csr`, `rerank` and `order` hold one sample per
     /// epoch (epoch 0 included, so `epochs + 1`); `layout` holds one per
     /// epoch that a personalized batch read (epoch 0 always), exported as

@@ -242,8 +242,8 @@ proptest! {
     }
 }
 
-/// The partition-centric SpMV — fresh `SharedSlice` per phase, the workload
-/// that motivated the pooled shadow tables — runs race-clean.
+/// The partition-centric SpMV — a fresh `SharedSlice` per sweep, the
+/// workload that motivated the pooled shadow tables — runs race-clean.
 #[test]
 fn partition_centric_spmv_is_race_clean() {
     let g = hipa::graph::datasets::small_test_graph(23);
@@ -255,8 +255,37 @@ fn partition_centric_spmv_is_race_clean() {
     }
 }
 
-/// The interleaved multi-vector PPR batch — message slots written `width`
-/// values at a time, members re-packed as they freeze — runs race-clean,
+/// A skewed graph under the detector: two thirds of the edges point at one
+/// hub, the last vertex, so its destination range holds it alone and the
+/// other two ranges split the rest. Three pull jobs at widths 1 and 8 run race-clean, and
+/// every lane is bitwise the one-thread solo sweep of its vector.
+#[test]
+fn skewed_pull_sweep_is_race_clean_and_bitwise_solo() {
+    let n = 600u32;
+    let hub = n - 1;
+    let edges: Vec<(u32, u32)> =
+        (0..n).flat_map(|u| [(u, hub), (u, hub), (u, (u * 7 + 1) % n)]).collect();
+    let g = DiGraph::from_edge_list(&EdgeList::from_pairs(edges));
+    let n = n as usize;
+    let mut ws = hipa_algos::SpmvWorkspace::new(&g, 3, 64);
+    let dsts = &ws.prepared().thread_dsts;
+    assert!(dsts.contains(&(hub as usize..hub as usize + 1)), "hub range: {dsts:?}");
+    let mut solo = hipa_algos::SpmvWorkspace::new(&g, 1, 64);
+    for w in [1usize, 8] {
+        let xs: Vec<f32> = (0..w * n).map(|i| 1.0 / (1 + (i * 13) % 19) as f32).collect();
+        let mut ys = vec![0.0f32; w * n];
+        ws.run_batch_into(&xs, &mut ys, w);
+        for b in 0..w {
+            let x: Vec<f32> = xs.iter().skip(b).step_by(w).copied().collect();
+            let want: Vec<u32> = solo.run(&x).iter().map(|y| y.to_bits()).collect();
+            let got: Vec<u32> = ys.iter().skip(b).step_by(w).map(|y| y.to_bits()).collect();
+            assert_eq!(got, want, "width {w}, vector {b}");
+        }
+    }
+}
+
+/// The interleaved multi-vector PPR batch — outputs written `width` values
+/// at a time, members re-packed as they freeze — runs race-clean,
 /// and each member stays bitwise equal to its solo solve. Member 0 is
 /// uniform and the rest seed one vertex each, so with this cap the batch
 /// narrows several times and keeps some members to the last iteration.

@@ -1,7 +1,8 @@
 //! Property-based tests for the PCPM layout (compression, edge
-//! conservation, PNG/slot-view consistency) against random graphs.
+//! conservation, PNG/slot-view consistency) and for the resident pull
+//! layout's summation order, against random graphs.
 
-use hipa::core::PcpmLayout;
+use hipa::core::{PcpmLayout, PcpmPrepared};
 use hipa::graph::{Csr, DiGraph, EdgeList};
 use proptest::prelude::*;
 
@@ -18,8 +19,67 @@ fn graph_strategy() -> impl Strategy<Value = EdgeList> {
     })
 }
 
+/// Raw graphs as the server sees them: multi-edges and self-loops kept,
+/// zero-degree vertices, and (every other case) edges at vertex `n - 1`.
+fn multigraph_strategy() -> impl Strategy<Value = EdgeList> {
+    (1usize..120, prop::collection::vec((0u32..120, 0u32..120), 0..500), any::<bool>()).prop_map(
+        |(n, pairs, touch_last)| {
+            let last = n as u32 - 1;
+            let mut pairs: Vec<_> =
+                pairs.into_iter().map(|(s, d)| (s % n as u32, d % n as u32)).collect();
+            if touch_last {
+                pairs.extend([(last, 0), (0, last), (last, last)]);
+            }
+            EdgeList::new(n, pairs.into_iter().map(Into::into).collect())
+        },
+    )
+}
+
+/// Each destination's sources in the order the partition-centric push adds
+/// them: walk the intra adjacency in source order, then every partition's
+/// inbox slots ascending (a slot's source read off the PNG scatter view).
+fn push_order_walk(l: &PcpmLayout) -> Vec<Vec<u32>> {
+    let mut lists = vec![Vec::new(); l.num_vertices];
+    for u in 0..l.num_vertices as u32 {
+        for &t in l.intra_of(u) {
+            lists[t as usize].push(u);
+        }
+    }
+    let mut slot_src = vec![0u32; l.total_msgs as usize];
+    for p in 0..l.num_partitions {
+        for pair in l.png_of(p) {
+            for (i, &src) in l.png_sources(pair).iter().enumerate() {
+                slot_src[pair.slot_start as usize + i] = src;
+            }
+        }
+    }
+    for q in 0..l.num_partitions {
+        for slot in l.part_slot_ranges[q].clone() {
+            for &t in l.dests_of(slot) {
+                lists[t as usize].push(slot_src[slot as usize]);
+            }
+        }
+    }
+    lists
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The source lists `PcpmPrepared` builds straight from the out-CSR
+    /// are, destination by destination, the push's summation order — what
+    /// makes the pull sweep bitwise equal to the push.
+    #[test]
+    fn pull_lists_are_the_push_order(el in multigraph_strategy(), vi in 0usize..4, threads in 1usize..4) {
+        let g = DiGraph::from_edge_list(&el);
+        let vpp = [1, 7, 64, g.num_vertices()][vi];
+        let want = push_order_walk(&PcpmLayout::build(g.out_csr(), vpp, false));
+        let p = PcpmPrepared::build(&g, threads, vpp);
+        for (v, w) in want.iter().enumerate() {
+            prop_assert_eq!(p.sources_of(v), w.as_slice(), "v{} vpp={}", v, vpp);
+        }
+        prop_assert_eq!(p.pull_offsets[g.num_vertices()] as usize, el.num_edges());
+    }
 
     /// Every edge is represented exactly once (intra + message destinations),
     /// in all four layout modes.
