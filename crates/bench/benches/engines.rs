@@ -1,7 +1,10 @@
 //! Criterion benches of the five native engines (the real-thread paths) on
-//! a small scale-free graph. Absolute wall-clock numbers on this single-core
-//! host do not reproduce the paper — the simulated harness bins do — but
-//! these benches track regressions in the engines' real code paths.
+//! a small scale-free graph. Absolute wall-clock numbers on the development
+//! host (2 vCPUs shared with other jobs) do not reproduce the paper — the
+//! simulated harness bins do — and on this 1,024-vertex graph a 2-thread
+//! HiPa solve reads slower than a 1-thread one (thread start and barriers
+//! outweigh five short iterations), but these benches track regressions in
+//! the engines' real code paths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hipa_baselines::all_engines;

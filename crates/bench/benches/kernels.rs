@@ -1,9 +1,10 @@
 //! Criterion benches for the hot-kernel pass (DESIGN.md §12): native
 //! scatter/gather with software prefetch on vs off, and the cost of the
-//! frequency sub-clustering relabel itself. On this single-core host the
-//! prefetch delta is usually within noise — the `kernels` harness bin's
-//! simulated A/B is the authoritative measurement; this bench exists to
-//! keep the prefetched code paths exercised and regression-tracked.
+//! frequency sub-clustering relabel itself. On the development host (2
+//! vCPUs shared with other jobs) the prefetch delta is within noise — the
+//! `kernels` harness bin's simulated A/B is the authoritative measurement;
+//! this bench exists to keep the prefetched code paths exercised and
+//! regression-tracked.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hipa_core::{Engine, NativeOpts, PageRankConfig, ReorderStrategy};

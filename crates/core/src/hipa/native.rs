@@ -7,7 +7,7 @@
 //! being recreated per parallel region). The compute workers deliberately
 //! stay on dedicated `std::thread::scope` threads rather than the rayon
 //! shim's pool — the one sanctioned bare-thread site outside the shims
-//! (audit rule 6): they block on a barrier three times per iteration, which
+//! (audit rule 6): they block on a barrier twice per iteration, which
 //! would wedge a pool narrower than `threads`, and their spawn cost is
 //! amortised over the whole run. All cross-thread data flows pass a barrier
 //! wait, so the tracked edges keep the `check-hb` detector exact here. Preprocessing, in contrast, rides the shim's persistent pool
@@ -15,29 +15,43 @@
 //! each thread owns its vertex ranges and its message slots — and go
 //! through [`SharedSlice`](crate::disjoint::SharedSlice).
 //!
+//! With fewer partitions than threads, the plan's level below the partition
+//! ([`Share`]) lets several threads share one partition. Each walks the
+//! partition's sources in ascending order but adds only into its own
+//! destination sub-range, writes its own run of the partition's PNG slots,
+//! walks the whole inbox in slot order applying only its own destinations,
+//! and finalises only its sub-range. Each sub-range's lists are copied out
+//! once in preprocessing ([`PcpmLayout::sub_range_lists`]), keeping only the
+//! sources and slots that reach it, so a sharer streams only its own edges;
+//! a whole partition reads the layout's lists in place, through the same
+//! kernel.
+//!
 //! The arithmetic order (intra contributions in source order during
 //! scatter, then inbox messages in slot order during gather) is identical
 //! to the simulated path, so native and simulated runs produce bit-equal
 //! f32 ranks for any thread count.
 //!
-//! disjointness: HiPa plan (`hipa_plan_with_prefix`) — each worker owns the
-//! vertex ranges of its `part_range` partitions (rank/acc writes), the PNG
-//! message slots sourced from those partitions (vals writes), and its own
-//! index in the per-thread partial arrays; `base`/`ctrl` are written only by
-//! thread 0 between barriers. Every slice is created once before spawn and
-//! ownership never migrates, so each element has one writer thread for the
-//! whole run.
+//! disjointness: HiPa plan (`hipa_plan_shared`) — each worker owns the
+//! vertex ranges of its `part_range` partitions, or its `Share` destination
+//! sub-range of a shared partition (rank/acc writes), the PNG message slots
+//! of its partitions or its `Unit::msgs` run of the shared partition's
+//! messages (vals writes), and its own index in the per-thread partial
+//! arrays; `ctrl` is written only by thread 0 and read after the join. Every
+//! slice is created once before spawn and ownership never migrates, so each
+//! element has one writer thread for the whole run.
 
 use crate::config::{DanglingPolicy, PageRankConfig};
 use crate::convergence;
 use crate::disjoint::SharedSlice;
 use crate::hb::TrackedBarrier;
-use crate::pcpm::PcpmLayout;
+use crate::pcpm::{PcpmLayout, SubRangeLists};
 use crate::prefetch::{prefetch_read, LineFilter, PREFETCH_DISTANCE};
 use crate::runs::{NativeOpts, NativeRun};
 use hipa_graph::{DiGraph, VERTEX_BYTES};
 use hipa_obs::{PoolCounters, Recorder, TraceMeta, PATH_NATIVE, RUN_LEVEL};
-use hipa_partition::hipa_plan_with_prefix;
+use hipa_partition::{hipa_plan_shared, Share, ThreadPlan};
+use std::ops::Range;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
@@ -81,8 +95,22 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
     // preprocessing pipeline runs on `build_threads` workers and is
     // bit-identical to the sequential build.
     let prefix = crate::par::degree_prefix_parallel(g.out_degrees(), build_threads);
-    let plan = hipa_plan_with_prefix(&prefix, 1, threads, vpp);
     let layout = PcpmLayout::build_par_ext(g.out_csr(), vpp, false, true, build_threads);
+    let plan = hipa_plan_shared(&prefix, 1, threads, vpp, |p| layout.in_degrees(p));
+    let thread_plans: Vec<_> = plan.threads().map(|(_, _, t)| t).collect();
+    // Each sharer's lists, one sharer per build worker.
+    let sharers: Vec<usize> = (0..threads).filter(|&j| thread_plans[j].share.of > 1).collect();
+    let subs: Vec<OnceLock<SubRangeLists>> = (0..threads).map(|_| OnceLock::new()).collect();
+    crate::par::run_indexed(sharers.len(), build_threads, |i| {
+        let t = thread_plans[sharers[i]];
+        let lists = layout.sub_range_lists(t.part_range.start, t.vertex_range.clone());
+        subs[sharers[i]].set(lists).expect("each sharer's lists are built once");
+    });
+    let units: Vec<Vec<Unit>> = thread_plans
+        .iter()
+        .zip(&subs)
+        .map(|(t, sub)| t.part_range.clone().map(|p| Unit::new(&layout, p, t, sub.get())).collect())
+        .collect();
     let inv_deg = crate::par::inv_deg_parallel(g, build_threads);
     let preprocess = t0.elapsed();
 
@@ -98,14 +126,12 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
             (0..n).filter(|&v| g.out_degree(v as u32) == 0).map(|v| rank[v] as f64).sum()
         }
     };
-    let mut base_box = vec![(1.0 - d) * inv_n + d * (init_dangling as f32) * inv_n];
+    let base0 = (1.0 - d) * inv_n + d * (init_dangling as f32) * inv_n;
     let mut delta_partials = vec![0.0f64; threads];
     // ctrl[0] = stop flag (tolerance reached), ctrl[1] = iterations executed.
     let mut ctrl_box = vec![0u32; 2];
 
-    let thread_parts: Vec<std::ops::Range<usize>> =
-        plan.threads().map(|(_, _, t)| t.part_range.clone()).collect();
-    let num_parts: usize = thread_parts.iter().map(|r| r.len()).sum();
+    let num_parts = layout.num_partitions;
     let degs = g.out_degrees();
     // Adaptive hint gate — see the sim path: hints arm only when the
     // partition's random-access span spills the (assumed) L2.
@@ -118,7 +144,6 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
         let vals_s = SharedSlice::new(&mut vals);
         let partials_s = SharedSlice::new(&mut partials);
         let deltas_s = SharedSlice::new(&mut delta_partials);
-        let base_s = SharedSlice::new(&mut base_box);
         let ctrl_s = SharedSlice::new(&mut ctrl_box);
         let barrier = TrackedBarrier::new(threads);
         std::thread::scope(|scope| {
@@ -128,46 +153,46 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
                 let vals_s = &vals_s;
                 let partials_s = &partials_s;
                 let deltas_s = &deltas_s;
-                let base_s = &base_s;
                 let ctrl_s = &ctrl_s;
                 let barrier = &barrier;
                 let layout = &layout;
                 let inv_deg = &inv_deg;
                 let rec = &rec;
-                let parts = thread_parts[j].clone();
+                let units = &units[j];
                 let partials_all = 0..threads;
                 scope.spawn(move || {
                     let mut spans = rec.thread_spans(j);
+                    let mut base = base0;
                     for it in 0..cfg.iterations {
-                        // SAFETY: `base_box[0]` was written by thread 0
-                        // strictly before the previous iteration's final
-                        // barrier (or before spawn for iteration 0).
-                        let base = unsafe { base_s.get(0) };
-
-                        // --- Scatter own partitions: intra pass, then one
+                        // --- Scatter own units: intra pass, then one
                         // sequential bin write per destination (PNG view) ---
                         let scatter_t = spans.start();
-                        for p in parts.clone() {
-                            let vr = layout.partition_vertices(p);
-                            for v in vr.start as usize..vr.end as usize {
-                                let intra = layout.intra_of(v as u32);
+                        for u in units {
+                            u.intra.for_each(|_, v, intra| {
                                 if intra.is_empty() {
-                                    continue;
+                                    return;
                                 }
-                                // SAFETY: v is in this thread's own range.
+                                // SAFETY: rank is only written post-barrier.
                                 let val = unsafe { rank_s.get(v) } * inv_deg[v];
                                 for &dst in intra {
-                                    // SAFETY: intra destinations stay inside
-                                    // this thread's own partitions.
+                                    // SAFETY: these intra destinations lie in
+                                    // this unit's own destination range.
                                     unsafe { acc_s.update(dst as usize, |a| *a += val) };
                                 }
-                            }
-                            for pair in layout.png_of(p) {
-                                let srcs = layout.png_sources(pair);
+                            });
+                            for pair in layout.png_of(u.part) {
+                                let first = pair.src_start as usize;
+                                let lo = first.max(u.msgs.start);
+                                let hi = (first + pair.len as usize).min(u.msgs.end);
+                                if lo >= hi {
+                                    continue;
+                                }
+                                let srcs = &layout.png_src[lo..hi];
+                                let slot0 = pair.slot_start as usize + (lo - first);
                                 if do_prefetch {
                                     // Warm this bin's write cursor: the slot
                                     // run starts on a cold line per pair.
-                                    vals_s.prefetch(pair.slot_start as usize);
+                                    vals_s.prefetch(slot0);
                                 }
                                 let mut pf = LineFilter::new();
                                 for (k, &src) in srcs.iter().enumerate() {
@@ -179,13 +204,12 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
                                             }
                                         }
                                     }
-                                    // SAFETY: src is in this thread's range
-                                    // and rank is only written post-barrier.
+                                    // SAFETY: rank is only written post-barrier.
                                     let r = unsafe { rank_s.get(src as usize) };
                                     let val = r * inv_deg[src as usize];
                                     // SAFETY: each PNG slot has exactly one
-                                    // writer — the source partition's owner.
-                                    unsafe { vals_s.write(pair.slot_start as usize + k, val) };
+                                    // writer — the owner of its `msgs` run.
+                                    unsafe { vals_s.write(slot0 + k, val) };
                                 }
                             }
                         }
@@ -196,34 +220,33 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
                         let gather_t = spans.start();
                         let mut dpart = 0.0f64;
                         let mut delta = 0.0f64;
-                        for q in parts.clone() {
-                            let sr = layout.part_slot_ranges[q].clone();
+                        for u in units {
                             let mut pf = LineFilter::new();
-                            for k in sr.clone() {
+                            u.inbox.for_each(|i, slot, dests| {
                                 if do_prefetch {
                                     // Run ahead on the neighbour-offset runs:
                                     // warm the accumulators of the slot
                                     // PREFETCH_DISTANCE messages out (each
                                     // dest line is prefetched exactly once).
-                                    let ka = k + PREFETCH_DISTANCE as u64;
-                                    if ka < sr.end {
-                                        for &dst in layout.dests_of(ka) {
-                                            if pf.admit(dst as usize) {
-                                                acc_s.prefetch(dst as usize);
-                                            }
+                                    for &dst in u.inbox.list(i + PREFETCH_DISTANCE).unwrap_or(&[]) {
+                                        if pf.admit(dst as usize) {
+                                            acc_s.prefetch(dst as usize);
                                         }
                                     }
                                 }
-                                // SAFETY: the inbox of q is only read by q's
-                                // owner after the scatter barrier.
-                                let val = unsafe { vals_s.get(k as usize) };
-                                for &dst in layout.dests_of(k) {
-                                    // SAFETY: dest vertices lie inside q.
+                                if dests.is_empty() {
+                                    return;
+                                }
+                                // SAFETY: the inbox is only read after the
+                                // scatter barrier.
+                                let val = unsafe { vals_s.get(slot) };
+                                for &dst in dests {
+                                    // SAFETY: dest vertices lie in the unit's
+                                    // own destination range.
                                     unsafe { acc_s.update(dst as usize, |a| *a += val) };
                                 }
-                            }
-                            let vr = layout.partition_vertices(q);
-                            for v in vr.start as usize..vr.end as usize {
+                            });
+                            for v in u.dsts.clone() {
                                 // SAFETY: own range.
                                 let a = unsafe { acc_s.get(v) };
                                 let new = base + d * a;
@@ -254,42 +277,42 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
                         spans.end(gather_t, "gather", it);
                         barrier.wait();
 
-                        // --- Reduction (thread 0) ---
-                        if j == 0 {
-                            if matches!(cfg.dangling, DanglingPolicy::Redistribute) {
-                                let mut mass = 0.0f64;
-                                for t in partials_all.clone() {
-                                    // SAFETY: all threads passed the barrier;
-                                    // no one writes partials until the next.
-                                    mass += unsafe { partials_s.get(t) };
-                                }
-                                let nb = (1.0 - d) * inv_n + d * (mass as f32) * inv_n;
-                                // SAFETY: only thread 0 writes, pre-barrier.
-                                unsafe { base_s.write(0, nb) };
+                        // --- Reduction, on every thread: all read the
+                        // same partials in the same order, so all reach the
+                        // same base and stop decision with no third barrier.
+                        // A partial is rewritten only after the next scatter
+                        // barrier, which every reader reaches after reading.
+                        if matches!(cfg.dangling, DanglingPolicy::Redistribute) {
+                            let mut mass = 0.0f64;
+                            for t in partials_all.clone() {
+                                // SAFETY: written before the gather barrier;
+                                // see above for the next write.
+                                mass += unsafe { partials_s.get(t) };
                             }
-                            // SAFETY: ctrl is thread 0's to write, pre-barrier.
-                            unsafe { ctrl_s.write(1, it as u32 + 1) };
-                            if track {
-                                let parts: Vec<f64> = partials_all
-                                    .clone()
-                                    // SAFETY: all threads passed the barrier;
-                                    // no one writes deltas until the next.
-                                    .map(|i| unsafe { deltas_s.get(i) })
-                                    .collect();
-                                let residual = convergence::reduce(&parts);
+                            base = (1.0 - d) * inv_n + d * (mass as f32) * inv_n;
+                        }
+                        let mut stop = false;
+                        if track {
+                            let parts: Vec<f64> = partials_all
+                                .clone()
+                                // SAFETY: as for the partials above.
+                                .map(|i| unsafe { deltas_s.get(i) })
+                                .collect();
+                            let residual = convergence::reduce(&parts);
+                            if j == 0 {
                                 rec.gauge(it, Some(residual), Some(num_parts as u64));
-                                if let Some(t) = tol {
-                                    if convergence::should_stop(residual, t) {
-                                        // SAFETY: only thread 0 writes ctrl,
-                                        // strictly before the next barrier.
-                                        unsafe { ctrl_s.write(0, 1) };
-                                    }
-                                }
+                            }
+                            stop = tol.is_some_and(|t| convergence::should_stop(residual, t));
+                        }
+                        if j == 0 {
+                            // SAFETY: only thread 0 writes ctrl, and it is
+                            // read only after the workers have joined.
+                            unsafe {
+                                ctrl_s.write(1, it as u32 + 1);
+                                ctrl_s.write(0, u32::from(stop));
                             }
                         }
-                        barrier.wait();
-                        // SAFETY: thread 0 set the flag before the barrier.
-                        if tol.is_some() && unsafe { ctrl_s.get(0) } == 1 {
+                        if stop {
                             break;
                         }
                     }
@@ -320,6 +343,108 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
     NativeRun { ranks: rank, preprocess, compute, iterations_run, converged, trace }
 }
 
+/// Entry `i`'s list is `items[offsets[i]..offsets[i + 1]]`. Its key (a
+/// source vertex or an inbox slot) is `first + keys[i]`, or `first + i` when
+/// there are no keys: a whole partition, read straight from the layout.
+#[derive(Clone, Copy)]
+struct Lists<'a> {
+    first: usize,
+    keys: Option<&'a [u32]>,
+    offsets: &'a [u64],
+    items: &'a [u32],
+}
+
+impl<'a> Lists<'a> {
+    /// Calls `f(i, key, list)` for every entry, in order.
+    #[inline]
+    fn for_each(self, mut f: impl FnMut(usize, usize, &'a [u32])) {
+        let lists = self.offsets.windows(2).map(|w| &self.items[w[0] as usize..w[1] as usize]);
+        match self.keys {
+            None => lists.enumerate().for_each(|(i, l)| f(i, self.first + i, l)),
+            Some(keys) => keys
+                .iter()
+                .zip(lists)
+                .enumerate()
+                .for_each(|(i, (&k, l))| f(i, self.first + k as usize, l)),
+        }
+    }
+
+    /// Entry `i`'s list, if there is one.
+    #[inline]
+    fn list(self, i: usize) -> Option<&'a [u32]> {
+        self.offsets.get(i..i + 2).map(|w| &self.items[w[0] as usize..w[1] as usize])
+    }
+}
+
+/// One worker's share of one partition: the whole partition, read straight
+/// from the layout, or one [`Share`] of it, read from the lists copied for
+/// its destination sub-range (only the sources and slots that reach it).
+struct Unit<'a> {
+    part: usize,
+    /// Destinations this unit sums into and finalises.
+    dsts: Range<usize>,
+    intra: Lists<'a>,
+    inbox: Lists<'a>,
+    /// This unit's run of the partition's PNG messages (`png_src` indices).
+    msgs: Range<usize>,
+}
+
+impl<'a> Unit<'a> {
+    /// The unit of partition `p` for plan entry `t`; `sub` holds `t`'s
+    /// sub-range lists when it shares `p`.
+    fn new(
+        layout: &'a PcpmLayout,
+        p: usize,
+        t: &ThreadPlan,
+        sub: Option<&'a SubRangeLists>,
+    ) -> Self {
+        let vr = layout.partition_vertices(p);
+        let sr = &layout.part_slot_ranges[p];
+        let (vs, ss) = (vr.start as usize, sr.start as usize);
+        let (intra, inbox, dsts) = match sub {
+            None => (
+                Lists {
+                    first: vs,
+                    keys: None,
+                    offsets: &layout.intra_offsets[vs..=vr.end as usize],
+                    items: &layout.intra_dst,
+                },
+                Lists {
+                    first: ss,
+                    keys: None,
+                    offsets: &layout.dest_offsets[ss..=sr.end as usize],
+                    items: &layout.dest_verts,
+                },
+                vs..vr.end as usize,
+            ),
+            Some(l) => (
+                Lists {
+                    first: vs,
+                    keys: Some(&l.intra.keys),
+                    offsets: &l.intra.offsets,
+                    items: &l.intra.items,
+                },
+                Lists {
+                    first: ss,
+                    keys: Some(&l.inbox.keys),
+                    offsets: &l.inbox.offsets,
+                    items: &l.inbox.items,
+                },
+                t.vertex_range.start as usize..t.vertex_range.end as usize,
+            ),
+        };
+        let Share { index, of } = t.share;
+        let m = layout.png_msgs(p);
+        Unit {
+            part: p,
+            dsts,
+            intra,
+            inbox,
+            msgs: m.start + m.len() * index / of..m.start + m.len() * (index + 1) / of,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,5 +467,21 @@ mod tests {
         let r1 = run(&g, &cfg, &NativeOpts::new(1, 1024));
         let r4 = run(&g, &cfg, &NativeOpts::new(4, 1024));
         assert_eq!(r1.ranks, r4.ranks, "bitwise determinism across thread counts");
+        // Fewer partitions than threads (1024 vertices): one partition
+        // shared by 2, 3 and 4 threads, and two partitions for three threads
+        // (one split, one not). Each matches 1-thread native and the sim.
+        for (bytes, threads) in [(4096, 2), (4096, 3), (4096, 4), (2048, 3)] {
+            let one = run(&g, &cfg, &NativeOpts::new(1, bytes));
+            let many = run(&g, &cfg, &NativeOpts::new(threads, bytes));
+            let sim = crate::hipa::sim::run(
+                &g,
+                &cfg,
+                &crate::runs::SimOpts::new(hipa_numasim::MachineSpec::tiny_test().with_sockets(1))
+                    .with_threads(threads)
+                    .with_partition_bytes(bytes),
+            );
+            assert_eq!(many.ranks, one.ranks, "{bytes} B partitions, {threads} threads");
+            assert_eq!(many.ranks, sim.ranks, "{bytes} B partitions, {threads} threads: sim");
+        }
     }
 }

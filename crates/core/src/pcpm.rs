@@ -111,6 +111,25 @@ pub struct PngPair {
     pub len: u32,
 }
 
+/// One destination sub-range's share of a partition's lists
+/// ([`PcpmLayout::sub_range_lists`]): its intra lists, keyed by source, and
+/// its inbox lists, keyed by slot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SubRangeLists {
+    pub intra: KeyedLists,
+    pub inbox: KeyedLists,
+}
+
+/// The lists that reach a sub-range: the `i`-th belongs to `keys[i]`
+/// (relative to the partition's first source or slot) and is
+/// `items[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyedLists {
+    pub keys: Vec<u32>,
+    pub offsets: Vec<u64>,
+    pub items: Vec<u32>,
+}
+
 impl PcpmLayout {
     /// Builds the layout from an out-CSR.
     ///
@@ -701,6 +720,64 @@ impl PcpmLayout {
         let lo = self.dest_offsets[slot as usize] as usize;
         let hi = self.dest_offsets[slot as usize + 1] as usize;
         &self.dest_verts[lo..hi]
+    }
+
+    /// Messages of source partition `p` as a range of `png_src` indices
+    /// (its PNG bins are contiguous there, in bin order).
+    pub fn png_msgs(&self, p: usize) -> Range<usize> {
+        let pairs = self.png_of(p);
+        match (pairs.first(), pairs.last()) {
+            (Some(a), Some(z)) => a.src_start as usize..(z.src_start + z.len as u64) as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// In-edges of each vertex of partition `p`: the intra edges of its
+    /// sources plus the destinations of its inbox (no transpose needed).
+    pub fn in_degrees(&self, p: usize) -> Vec<u32> {
+        let vr = self.partition_vertices(p);
+        let intra = self.intra_offsets[vr.start as usize] as usize
+            ..self.intra_offsets[vr.end as usize] as usize;
+        let sr = &self.part_slot_ranges[p];
+        let inbox = self.dest_offsets[sr.start as usize] as usize
+            ..self.dest_offsets[sr.end as usize] as usize;
+        let mut deg = vec![0u32; vr.len()];
+        for &d in self.intra_dst[intra].iter().chain(&self.dest_verts[inbox]) {
+            deg[(d - vr.start) as usize] += 1;
+        }
+        deg
+    }
+
+    /// Partition `p`'s intra and inbox lists cut down to the destinations in
+    /// `dsts`, for a thread that shares `p` with others (the plan's level
+    /// below the partition). Every list is sorted, so each cut is one
+    /// contiguous run, copied in the layout's order; entries with no
+    /// destination in `dsts` are dropped.
+    pub fn sub_range_lists(&self, p: usize, dsts: Range<u32>) -> SubRangeLists {
+        let vr = self.partition_vertices(p);
+        // A bound at the partition's edge cuts nothing: skip its search.
+        let cut = |l: &[u32], at: u32| match at {
+            a if a <= vr.start => 0,
+            a if a >= vr.end => l.len(),
+            a => l.partition_point(|&d| d < a),
+        };
+        let keep = |l: &[u32], key: usize, kl: &mut KeyedLists| {
+            let run = &l[cut(l, dsts.start)..cut(l, dsts.end)];
+            if !run.is_empty() {
+                kl.keys.push(key as u32);
+                kl.items.extend_from_slice(run);
+                kl.offsets.push(kl.items.len() as u64);
+            }
+        };
+        let empty = || KeyedLists { keys: Vec::new(), offsets: vec![0], items: Vec::new() };
+        let mut out = SubRangeLists { intra: empty(), inbox: empty() };
+        for (i, v) in vr.clone().enumerate() {
+            keep(self.intra_of(v), i, &mut out.intra);
+        }
+        for (i, k) in self.part_slot_ranges[p].clone().enumerate() {
+            keep(self.dests_of(k), i, &mut out.inbox);
+        }
+        out
     }
 
     /// Inter-edge compression ratio achieved (≥ 1).

@@ -5,9 +5,9 @@
 //!
 //! * **native** — real `std::thread` execution on the host. Produces correct
 //!   ranks and wall-clock timings (the criterion benches drive this path).
-//!   The host in this reproduction has one core, so native timings do not
-//!   show parallel speedups — the simulated path is the measurement
-//!   substrate for the paper's tables.
+//!   The development host has two vCPUs shared with other jobs, so native
+//!   speedups hold only against the host's spare capacity — the simulated
+//!   path is the measurement substrate for the paper's tables.
 //! * **sim** — the same computation executed against
 //!   [`hipa_numasim::SimMachine`], producing identical ranks plus the
 //!   modelled cycle counts and memory-system statistics.

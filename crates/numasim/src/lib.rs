@@ -2,9 +2,10 @@
 //!
 //! The paper's measurements (execution time, remote memory accesses, LLC
 //! hits, scalability under hyper-threading) were taken on two real Intel
-//! machines. This environment has a single core and no NUMA, so the
-//! reproduction substitutes a parameterised *model* of those machines — see
-//! `DESIGN.md` §2 for the substitution argument.
+//! machines. The development host has no NUMA and two vCPUs shared with
+//! other jobs (a 2-thread spin loop reads anywhere from 1.0x to 2.0x of one
+//! thread), so the reproduction substitutes a parameterised *model* of those
+//! machines — see `DESIGN.md` §2 for the substitution argument.
 //!
 //! The simulator executes the *actual* computation of an engine: the engine
 //! performs its real loads/stores on its own Rust data and mirrors each of

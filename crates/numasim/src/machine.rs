@@ -6,7 +6,7 @@
 //!
 //! An engine expresses its computation as a sequence of *phases* over a
 //! thread *pool*. Within [`SimMachine::phase`] each simulated thread's work
-//! closure runs to completion (host-sequentially — the host has one core),
+//! closure runs to completion, one after another on the host thread,
 //! accumulating cycles on the thread's private clock and driving the cache
 //! hierarchy of the logical CPU it is placed on. At the end of the phase the
 //! wall clock advances by

@@ -11,7 +11,8 @@
 //!   partitions (the last node absorbing the leftover), then Eq. 4
 //!   edge-balances each node's partitions into per-thread *groups*, giving
 //!   the one-to-many thread→partition ownership that eliminates FCFS
-//!   contention (§3.2).
+//!   contention (§3.2); [`hipa_plan_shared`] adds the level below the
+//!   partition for nodes with fewer partitions than threads.
 //!
 //! [`LookupTable`] is the 2-level table of Fig. 3 (thread → partition range,
 //! partition → vertex range).
@@ -24,7 +25,9 @@ pub mod quality;
 
 pub use balanced::{edge_balanced, edge_balanced_with_prefix, vertex_balanced};
 pub use lookup::LookupTable;
-pub use plan::{hipa_plan, hipa_plan_with_prefix, HiPaPlan, NodePlan, ThreadPlan};
+pub use plan::{
+    hipa_plan, hipa_plan_shared, hipa_plan_with_prefix, HiPaPlan, NodePlan, Share, ThreadPlan,
+};
 pub use quality::{plan_quality, PlanQuality};
 
 use std::ops::Range;

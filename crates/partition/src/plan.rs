@@ -5,20 +5,43 @@
 //! Level 2 (Eq. 4): inside each node, contiguous partition *groups* are
 //! assigned to threads so every group carries ≈ |Eᵢ|/C edges (the loosened
 //! condition Σ D(v) ≥ |Eᵢ|/C from the end of §3.2).
+//! Below the partition ([`hipa_plan_shared`]): §3.2 assumes many more
+//! partitions than threads. On a node with fewer, the threads share
+//! partitions instead, each owning one contiguous destination sub-range
+//! balanced by in-edges ([`Share`]).
 
 use crate::balanced::edge_balanced_with_prefix;
 use crate::{degree_prefix, edges_in};
 use std::ops::Range;
 
-/// One thread's slice of a node: a contiguous group of cache partitions.
+/// One thread's slice of a node: a contiguous group of cache partitions, or
+/// one destination sub-range of a shared partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadPlan {
-    /// Global cache-partition indices owned by this thread (`mⱼ` many).
+    /// Global cache-partition indices owned by this thread (`mⱼ` many); the
+    /// one shared partition when `share.of > 1`.
     pub part_range: Range<usize>,
-    /// Vertices covered by those partitions.
+    /// Vertices covered by those partitions; for a shared partition, the
+    /// destination sub-range this thread sums into and finalises.
     pub vertex_range: Range<u32>,
     /// Out-edges carried by those vertices.
     pub edges: u64,
+    /// This thread's share of `part_range` ([`Share::WHOLE`] unless the node
+    /// has fewer partitions than threads).
+    pub share: Share,
+}
+
+/// The level below the partition: thread `index` of the `of` consecutive
+/// threads that split one partition into destination sub-ranges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Share {
+    pub index: usize,
+    pub of: usize,
+}
+
+impl Share {
+    /// The thread owns its partitions whole.
+    pub const WHOLE: Share = Share { index: 0, of: 1 };
 }
 
 /// One NUMA node's slice of the graph.
@@ -187,6 +210,7 @@ pub fn hipa_plan_with_prefix(
                 part_range: g_lo..g_hi,
                 edges: edges_in(prefix, &vr),
                 vertex_range: vr,
+                share: Share::WHOLE,
             });
             start_part = end_part;
         }
@@ -204,6 +228,91 @@ pub fn hipa_plan_with_prefix(
         num_partitions,
         nodes: node_plans,
     }
+}
+
+/// [`hipa_plan_with_prefix`] plus the level below the partition.
+///
+/// On a node with at least as many partitions as threads the plan is
+/// exactly [`hipa_plan_with_prefix`]'s and `in_degrees` is never called. On
+/// a node with fewer (but at least one), thread `j` of the node's `C` goes to
+/// the node's partition `⌊j·nᵢ/C⌋`, so every partition gets a run of
+/// consecutive threads. When `k ≥ 2` threads share a partition, each owns
+/// one contiguous destination sub-range of it, cut where the partition's
+/// in-edges reach `i/k` of their total; `in_degrees(p)` returns the in-edge
+/// count of each vertex of partition `p`. Every sub-range keeps at least one
+/// vertex while the partition has vertices to give.
+///
+/// ```
+/// use hipa_partition::{hipa_plan_shared, Share};
+/// // 8 vertices, one partition, three threads; in-edges all on vertex 0..4.
+/// let in_deg = |_p: usize| vec![2, 2, 2, 2, 0, 0, 0, 0];
+/// let plan = hipa_plan_shared(&[0; 9], 1, 3, 8, in_deg);
+/// let subs: Vec<_> = plan.threads().map(|(_, _, t)| t.vertex_range.clone()).collect();
+/// assert_eq!(subs, vec![0..2, 2..3, 3..8]); // 4, 2 and 2 in-edges
+/// assert!(plan.threads().all(|(_, _, t)| t.part_range == (0..1)));
+/// assert_eq!(plan.nodes[0].threads[1].share, Share { index: 1, of: 3 });
+/// ```
+pub fn hipa_plan_shared(
+    prefix: &[u64],
+    nodes: usize,
+    threads_per_node: usize,
+    verts_per_partition: usize,
+    mut in_degrees: impl FnMut(usize) -> Vec<u32>,
+) -> HiPaPlan {
+    let mut plan = hipa_plan_with_prefix(prefix, nodes, threads_per_node, verts_per_partition);
+    let c = threads_per_node;
+    for node in &mut plan.nodes {
+        let np = node.part_range.len();
+        if np == 0 || np >= c {
+            continue;
+        }
+        // Threads ⌈q·C/nᵢ⌉..⌈(q+1)·C/nᵢ⌉ are those with ⌊j·nᵢ/C⌋ = q.
+        let mut j = 0;
+        for (q, p) in node.part_range.clone().enumerate() {
+            let end = ((q + 1) * c).div_ceil(np);
+            let k = end - j;
+            let lo = (p * verts_per_partition).max(node.vertex_range.start as usize);
+            let hi = ((p + 1) * verts_per_partition).min(node.vertex_range.end as usize);
+            let vr = lo as u32..hi as u32;
+            let cuts =
+                if k == 1 { vec![vr.start, vr.end] } else { dst_cuts(&vr, &in_degrees(p), k) };
+            for i in 0..k {
+                let sub = cuts[i]..cuts[i + 1];
+                node.threads[j + i] = ThreadPlan {
+                    part_range: p..p + 1,
+                    edges: edges_in(prefix, &sub),
+                    vertex_range: sub,
+                    share: if k == 1 { Share::WHOLE } else { Share { index: i, of: k } },
+                };
+            }
+            j = end;
+        }
+    }
+    plan
+}
+
+/// `k + 1` boundaries splitting `vr` into `k` contiguous sub-ranges of about
+/// equal in-edge count (`in_degrees[i]` belongs to vertex `vr.start + i`).
+/// Each sub-range gets at least one vertex while vertices last.
+fn dst_cuts(vr: &Range<u32>, in_degrees: &[u32], k: usize) -> Vec<u32> {
+    let m = vr.len();
+    assert_eq!(in_degrees.len(), m, "one in-degree per partition vertex");
+    let mut prefix = Vec::with_capacity(m + 1);
+    prefix.push(0u64);
+    for &d in in_degrees {
+        prefix.push(prefix.last().unwrap() + d as u64);
+    }
+    let total = prefix[m];
+    let mut cuts = vec![0usize];
+    for i in 1..k {
+        // First cut whose prefix reaches i/k of the total.
+        let raw = prefix.partition_point(|&x| x * (k as u64) < total * i as u64);
+        let lo = (cuts[i - 1] + 1).min(m);
+        let hi = m.saturating_sub(k - i).max(lo);
+        cuts.push(raw.clamp(lo, hi));
+    }
+    cuts.push(m);
+    cuts.into_iter().map(|c| vr.start + c as u32).collect()
 }
 
 #[cfg(test)]

@@ -196,28 +196,31 @@ fn assert_engine_paths_bitwise_stable(g: &DiGraph, iterations: usize) {
     let machine = MachineSpec::tiny_test();
     let g = g.clone();
     let cfg = PageRankConfig::default().with_iterations(iterations);
-    for e in all_engines() {
-        let nat = e.run_native(&g, &cfg, &NativeOpts::new(4, 512));
-        let nat2 = e.run_native(&g, &cfg, &NativeOpts::new(4, 512));
-        assert_eq!(nat.ranks, nat2.ranks, "{}: native re-run changed ranks", e.name());
-        let one = e.run_native(&g, &cfg, &NativeOpts::new(1, 512));
-        assert_eq!(nat.ranks, one.ranks, "{}: thread count changed ranks", e.name());
-        let sopts = || SimOpts::new(machine.clone()).with_threads(4).with_partition_bytes(512);
+    // 512 B gives more partitions than threads; `n * 4` bytes gives one
+    // partition, which HiPa's four threads share by destination sub-range.
+    for (e, bytes) in
+        all_engines().iter().flat_map(|e| [512, g.num_vertices() * 4].map(|bytes| (e, bytes)))
+    {
+        let name = format!("{} at {bytes} B", e.name());
+        let nat = e.run_native(&g, &cfg, &NativeOpts::new(4, bytes));
+        let nat2 = e.run_native(&g, &cfg, &NativeOpts::new(4, bytes));
+        assert_eq!(nat.ranks, nat2.ranks, "{name}: native re-run changed ranks");
+        let one = e.run_native(&g, &cfg, &NativeOpts::new(1, bytes));
+        assert_eq!(nat.ranks, one.ranks, "{name}: thread count changed ranks");
+        let sopts = || SimOpts::new(machine.clone()).with_threads(4).with_partition_bytes(bytes);
         let sim = e.run_sim(&g, &cfg, &sopts());
         let sim2 = e.run_sim(&g, &cfg, &sopts());
-        assert_eq!(nat.ranks, sim.ranks, "{}: native != sim under check-hb", e.name());
-        assert_eq!(sim.ranks, sim2.ranks, "{}: sim re-run changed ranks", e.name());
+        assert_eq!(nat.ranks, sim.ranks, "{name}: native != sim under check-hb");
+        assert_eq!(sim.ranks, sim2.ranks, "{name}: sim re-run changed ranks");
         assert_eq!(
             sim.compute_cycles.to_bits(),
             sim2.compute_cycles.to_bits(),
-            "{}: sim re-run changed compute cycles",
-            e.name()
+            "{name}: sim re-run changed compute cycles"
         );
         assert_eq!(
             sim.preprocess_cycles.to_bits(),
             sim2.preprocess_cycles.to_bits(),
-            "{}: sim re-run changed preprocess cycles",
-            e.name()
+            "{name}: sim re-run changed preprocess cycles"
         );
     }
 }

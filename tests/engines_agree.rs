@@ -67,6 +67,33 @@ fn every_engine_sim_is_bitwise_identical_to_native() {
             let nat = e.run_native(&g, &cfg, &NativeOpts::new(threads, 512));
             assert_eq!(sim.ranks, nat.ranks, "{} on {gname}: sim != native", e.name());
         }
+        // Fewer partitions than threads: one partition shared by 2, 3 and 4
+        // threads, and two partitions for three threads (one shared, one
+        // not). The one-socket machine takes any of those thread counts.
+        let n = g.num_vertices();
+        let shapes = [(n * 4, 2), (n * 4, 3), (n * 4, 4), (n.div_ceil(2) * 4, 3)];
+        for policy in [DanglingPolicy::Ignore, DanglingPolicy::Redistribute] {
+            let cfg = cfg.with_dangling(policy);
+            for e in all_engines() {
+                for (bytes, threads) in shapes {
+                    let at = format!(
+                        "{} on {gname} ({policy:?}, {bytes} B, {threads} threads)",
+                        e.name()
+                    );
+                    let nat = e.run_native(&g, &cfg, &NativeOpts::new(threads, bytes));
+                    let one = e.run_native(&g, &cfg, &NativeOpts::new(1, bytes));
+                    let sim = e.run_sim(
+                        &g,
+                        &cfg,
+                        &SimOpts::new(machine.clone().with_sockets(1))
+                            .with_threads(threads)
+                            .with_partition_bytes(bytes),
+                    );
+                    assert_eq!(nat.ranks, one.ranks, "{at}: native != 1-thread native");
+                    assert_eq!(nat.ranks, sim.ranks, "{at}: native != sim");
+                }
+            }
+        }
     }
 }
 

@@ -62,6 +62,39 @@ fn equality_matrix_native_sim_prefetch_within_strategy() {
                 }
             }
         }
+        // Fewer partitions than threads, where HiPa's threads share a
+        // partition by destination sub-range: one partition at 2, 3 and 4
+        // threads, two partitions at 3. A one-socket machine takes any of
+        // those thread counts.
+        let n = g.num_vertices();
+        for (bytes, threads) in [(n * 4, 2), (n * 4, 3), (n * 4, 4), (n.div_ceil(2) * 4, 3)] {
+            for strat in STRATEGIES {
+                let at =
+                    format!("HiPa on {gname} / {} ({bytes} B, {threads} threads)", strat.name());
+                let nat = NativeOpts::new(threads, bytes).with_reorder(strat);
+                let sim = SimOpts::new(MachineSpec::tiny_test().with_sockets(1))
+                    .with_threads(threads)
+                    .with_partition_bytes(bytes)
+                    .with_reorder(strat);
+                let reference = HiPa.run_native(&g, &cfg, &nat).ranks;
+                let paths = [
+                    (
+                        "native off",
+                        HiPa.run_native(&g, &cfg, &nat.clone().with_prefetch(false)).ranks,
+                    ),
+                    (
+                        "1-thread native",
+                        HiPa.run_native(&g, &cfg, &NativeOpts::new(1, bytes).with_reorder(strat))
+                            .ranks,
+                    ),
+                    ("sim on", HiPa.run_sim(&g, &cfg, &sim).ranks),
+                    ("sim off", HiPa.run_sim(&g, &cfg, &sim.with_prefetch(false)).ranks),
+                ];
+                for (path, ranks) in paths {
+                    assert_eq!(reference, ranks, "{at}: {path} diverged from native on");
+                }
+            }
+        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! Property-based tests for the partitioning invariants of §3.1–§3.2.
 
 use hipa::partition::{
-    degree_prefix, edge_balanced, edges_in, hipa_plan, vertex_balanced, LookupTable,
+    degree_prefix, edge_balanced, edges_in, hipa_plan, hipa_plan_shared, hipa_plan_with_prefix,
+    vertex_balanced, LookupTable, Share,
 };
 use proptest::prelude::*;
 
@@ -87,6 +88,68 @@ proptest! {
         }
         prop_assert_eq!(v as usize, degs.len());
         prop_assert_eq!(e, total_edges);
+    }
+
+    /// The level below the partition. A node with at least as many
+    /// partitions as threads keeps `hipa_plan_with_prefix`'s plan and never
+    /// asks for in-degrees. On a node with fewer, every thread holds one
+    /// partition; each partition's sharers are consecutive, numbered
+    /// `0..k` of `k`, and their destination sub-ranges tile it exactly once,
+    /// contiguous and non-overlapping; none is empty when the partition has
+    /// at least `k` vertices.
+    #[test]
+    fn shared_plan_splits_only_short_nodes(
+        degs in degrees_strategy(),
+        ins in prop::collection::vec(0u32..40, 1..64),
+        nodes in 1usize..4,
+        tpn in 1usize..6,
+        vpp in 1usize..256,
+    ) {
+        let prefix = degree_prefix(&degs);
+        let base = hipa_plan_with_prefix(&prefix, nodes, tpn, vpp);
+        let mut asked = Vec::new();
+        let plan = hipa_plan_shared(&prefix, nodes, tpn, vpp, |p| {
+            asked.push(p);
+            base.partition_vertices(p).map(|v| ins[v as usize % ins.len()]).collect()
+        });
+        prop_assert_eq!(plan.nodes.len(), base.nodes.len());
+        for (node, old) in plan.nodes.iter().zip(&base.nodes) {
+            let np = old.part_range.len();
+            if np == 0 || np >= tpn {
+                prop_assert_eq!(node, old);
+                prop_assert!(asked.iter().all(|p| !old.part_range.contains(p)));
+                continue;
+            }
+            prop_assert_eq!(&node.part_range, &old.part_range);
+            prop_assert_eq!(node.threads.len(), tpn);
+            let mut j = 0;
+            for p in node.part_range.clone() {
+                let sharers: Vec<_> =
+                    node.threads.iter().skip(j).take_while(|t| t.part_range == (p..p + 1)).collect();
+                let k = sharers.len();
+                prop_assert!(k >= 1, "partition {} has no thread", p);
+                let pv = base.partition_vertices(p);
+                let pv = pv.start.max(node.vertex_range.start)..pv.end.min(node.vertex_range.end);
+                let mut v = pv.start;
+                for (i, t) in sharers.iter().enumerate() {
+                    let want = if k == 1 { Share::WHOLE } else { Share { index: i, of: k } };
+                    prop_assert_eq!(t.share, want);
+                    prop_assert_eq!(t.vertex_range.start, v, "sub-ranges must be contiguous");
+                    prop_assert!(t.vertex_range.end >= v);
+                    v = t.vertex_range.end;
+                    prop_assert_eq!(t.edges, edges_in(&prefix, &t.vertex_range));
+                    if pv.len() >= k {
+                        prop_assert!(!t.vertex_range.is_empty(), "idle sharer of partition {}", p);
+                    }
+                }
+                prop_assert_eq!(v, pv.end, "sub-ranges must tile partition {}", p);
+                j += k;
+            }
+            prop_assert_eq!(j, tpn, "every thread holds one partition");
+        }
+        if base.nodes.iter().all(|n| n.part_range.is_empty() || n.part_range.len() >= tpn) {
+            prop_assert_eq!(plan, base);
+        }
     }
 
     /// The lookup table is consistent with its plan: every partition has
