@@ -26,7 +26,6 @@
 //! paths are bit-identical.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod common;
 pub mod gpop;
 pub mod pcpm_common;
 pub mod polymer;

@@ -18,16 +18,16 @@
 //! `next` only inside its own vertex range plus its own slot `j` of the
 //! partial arrays; slices are recreated per iteration region.
 
-use crate::common::{base_value, dangling_mass};
 use hipa_core::convergence;
 use hipa_core::disjoint::SharedSlice;
+use hipa_core::kernel::{base_value, dangling_mass};
 use hipa_core::prefetch::{prefetch_read, LineFilter, PREFETCH_DISTANCE};
-use hipa_core::{DanglingPolicy, Engine, NativeOpts, NativeRun, PageRankConfig, SimOpts, SimRun};
+use hipa_core::{
+    DanglingPolicy, Engine, NativeOpts, NativeRun, PageRankConfig, RunEnd, SimOpts, SimRun,
+};
 use hipa_graph::DiGraph;
 use hipa_numasim::{PhaseBalance, Placement, SimMachine, ThreadPlacement};
-use hipa_obs::{
-    record_sim_report, PoolCounters, Recorder, TraceMeta, PATH_NATIVE, PATH_SIM, RUN_LEVEL,
-};
+use hipa_obs::{PoolCounters, Recorder, RUN_LEVEL};
 use hipa_partition::edge_balanced;
 use std::ops::Range;
 use std::time::Instant;
@@ -64,24 +64,10 @@ pub fn run_native(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> Nativ
         return run;
     }
     let n = g.num_vertices();
-    let rec = Recorder::new(opts.trace);
     if n == 0 {
-        let converged = convergence::effective_tolerance(cfg.tolerance).is_some();
-        return NativeRun {
-            ranks: Vec::new(),
-            preprocess: Default::default(),
-            compute: Default::default(),
-            iterations_run: 0,
-            converged,
-            trace: rec.finish(TraceMeta {
-                engine: "v-PR".into(),
-                path: PATH_NATIVE,
-                threads: opts.threads.max(1) as u64,
-                converged,
-                ..TraceMeta::default()
-            }),
-        };
+        return NativeRun::empty("v-PR", cfg, opts);
     }
+    let rec = Recorder::new(opts.trace);
     let threads = opts.threads.max(1);
     let do_prefetch = opts.prefetch;
     let tol = convergence::effective_tolerance(cfg.tolerance);
@@ -186,33 +172,22 @@ pub fn run_native(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> Nativ
         }
         std::mem::swap(&mut cur, &mut next);
         iterations_run += 1;
-        if track {
-            let residual = convergence::reduce(&delta_partials);
-            rec.gauge(it, Some(residual), None);
-            if let Some(t) = tol {
-                if convergence::should_stop(residual, t) {
-                    converged = true;
-                    break;
-                }
-            }
+        if track && convergence::check(&rec, it, &delta_partials, None, tol) {
+            converged = true;
+            break;
         }
     }
     let compute = t1.elapsed();
-    rec.record("preprocess", RUN_LEVEL, RUN_LEVEL, preprocess.as_nanos() as f64);
-    rec.record("compute", RUN_LEVEL, RUN_LEVEL, compute.as_nanos() as f64);
-    pc.finish(&rec, threads as u64);
-    let trace = rec.finish(TraceMeta {
-        engine: "v-PR".into(),
-        path: PATH_NATIVE,
-        machine: None,
-        vertices: n as u64,
-        edges: g.num_edges() as u64,
-        threads: threads as u64,
+    let end = RunEnd {
+        engine: "v-PR",
+        g,
+        threads,
         partitions: None,
-        iterations_run: iterations_run as u64,
+        ranks: cur,
+        iterations_run,
         converged,
-    });
-    NativeRun { ranks: cur, preprocess, compute, iterations_run, converged, trace }
+    };
+    NativeRun::finish(end, rec, pc, preprocess, compute)
 }
 
 pub fn run_sim(g: &DiGraph, cfg: &PageRankConfig, opts: &SimOpts) -> SimRun {
@@ -220,28 +195,11 @@ pub fn run_sim(g: &DiGraph, cfg: &PageRankConfig, opts: &SimOpts) -> SimRun {
         return run;
     }
     let n = g.num_vertices();
+    if n == 0 {
+        return SimRun::empty("v-PR", cfg, opts);
+    }
     let mut machine = SimMachine::new(opts.machine.clone());
     let rec = Recorder::new(opts.trace);
-    if n == 0 {
-        let converged = convergence::effective_tolerance(cfg.tolerance).is_some();
-        let report = machine.report("v-PR");
-        return SimRun {
-            ranks: Vec::new(),
-            iterations_run: 0,
-            converged,
-            trace: rec.finish(TraceMeta {
-                engine: "v-PR".into(),
-                path: PATH_SIM,
-                machine: Some(report.machine.clone()),
-                threads: opts.threads as u64,
-                converged,
-                ..TraceMeta::default()
-            }),
-            report,
-            preprocess_cycles: 0.0,
-            compute_cycles: 0.0,
-        };
-    }
     let threads = opts.threads.clamp(1, machine.spec().topology.logical_cpus());
     let do_prefetch = opts.prefetch;
     let m = g.num_edges();
@@ -378,43 +336,22 @@ pub fn run_sim(g: &DiGraph, cfg: &PageRankConfig, opts: &SimOpts) -> SimRun {
         std::mem::swap(&mut cur, &mut next);
         std::mem::swap(&mut cur_r, &mut next_r);
         iterations_run += 1;
-        if track_host {
-            let residual = convergence::reduce(&delta_partials);
-            rec.gauge(it, Some(residual), None);
-            if let Some(t) = tol {
-                if convergence::should_stop(residual, t) {
-                    converged = true;
-                    break;
-                }
-            }
+        if track_host && convergence::check(&rec, it, &delta_partials, None, tol) {
+            converged = true;
+            break;
         }
     }
 
-    let total = machine.cycles();
-    rec.record("compute", RUN_LEVEL, RUN_LEVEL, total - preprocess_cycles);
-    let report = machine.report("v-PR");
-    record_sim_report(&rec, &report);
-    pc.finish(&rec, threads as u64);
-    let trace = rec.finish(TraceMeta {
-        engine: "v-PR".into(),
-        path: PATH_SIM,
-        machine: Some(report.machine.clone()),
-        vertices: n as u64,
-        edges: g.num_edges() as u64,
-        threads: threads as u64,
+    let end = RunEnd {
+        engine: "v-PR",
+        g,
+        threads,
         partitions: None,
-        iterations_run: iterations_run as u64,
-        converged,
-    });
-    SimRun {
         ranks: cur,
         iterations_run,
         converged,
-        report,
-        preprocess_cycles,
-        compute_cycles: total - preprocess_cycles,
-        trace,
-    }
+    };
+    SimRun::finish(end, rec, pc, &machine, preprocess_cycles)
 }
 
 #[cfg(test)]

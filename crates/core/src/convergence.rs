@@ -51,6 +51,22 @@ pub fn should_stop(residual_sum: f64, tol: f64) -> bool {
     residual_sum < tol
 }
 
+/// One iteration's end-of-step check, for engines that reduce on one
+/// thread: reduces the partials, records the residual as iteration `it`'s
+/// gauge (with the run's partition count, if it has one) and says whether
+/// the run stops here.
+pub fn check(
+    rec: &hipa_obs::Recorder,
+    it: usize,
+    partials: &[f64],
+    partitions: Option<u64>,
+    tol: Option<f64>,
+) -> bool {
+    let residual = reduce(partials);
+    rec.gauge(it, Some(residual), partitions);
+    tol.is_some_and(|t| should_stop(residual, t))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,10 @@
 //! The HiPa engine: hierarchical partitioning + thread-data pinning +
 //! compressed scatter/gather (paper §3).
 //!
-//! Both execution paths share the same data layout and the same arithmetic
-//! order, so the native and simulated runs produce **bit-identical** f32
-//! rank vectors (the integration tests assert this):
+//! Both execution paths run the same partition-centric kernel
+//! ([`crate::kernel`]) over the same data layout, so the native and
+//! simulated runs produce **bit-identical** f32 rank vectors (the
+//! integration tests assert this):
 //!
 //! * [`native`] — persistent `std::thread` workers, one per plan thread,
 //!   with barrier-synchronised scatter/gather phases (Algorithm 2);

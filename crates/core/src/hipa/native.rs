@@ -11,31 +11,32 @@
 //! would wedge a pool narrower than `threads`, and their spawn cost is
 //! amortised over the whole run. All cross-thread data flows pass a barrier
 //! wait, so the tracked edges keep the `check-hb` detector exact here. Preprocessing, in contrast, rides the shim's persistent pool
-//! via `crate::par::run_indexed`. All writes are structurally disjoint —
-//! each thread owns its vertex ranges and its message slots — and go
-//! through [`SharedSlice`](crate::disjoint::SharedSlice).
+//! via `crate::par::run_indexed`.
+//!
+//! The iteration itself is the shared partition-centric kernel
+//! ([`crate::kernel`]) with the [`Native`] charge: this file keeps only the
+//! plan, the preprocessing, the worker lifecycle and the reductions.
 //!
 //! With fewer partitions than threads, the plan's level below the partition
-//! ([`Share`]) lets several threads share one partition. Each walks the
-//! partition's sources in ascending order but adds only into its own
-//! destination sub-range, writes its own run of the partition's PNG slots,
-//! walks the whole inbox in slot order applying only its own destinations,
-//! and finalises only its sub-range. Each sub-range's lists are copied out
-//! once in preprocessing ([`PcpmLayout::sub_range_lists`]), keeping only the
-//! sources and slots that reach it, so a sharer streams only its own edges;
-//! a whole partition reads the layout's lists in place, through the same
-//! kernel.
+//! ([`Share`](hipa_partition::Share)) lets several threads share one
+//! partition. Each walks the partition's sources in ascending order but
+//! adds only into its own destination sub-range, writes its own run of the
+//! partition's PNG slots, walks the whole inbox in slot order applying only
+//! its own destinations, and finalises only its sub-range. Each sub-range's
+//! lists are copied out once in preprocessing
+//! ([`PcpmLayout::sub_range_lists`]), keeping only the sources and slots
+//! that reach it, so a sharer streams only its own edges ([`Unit::shared`]);
+//! a whole partition reads the layout's lists in place ([`Unit::whole`]).
 //!
-//! The arithmetic order (intra contributions in source order during
-//! scatter, then inbox messages in slot order during gather) is identical
-//! to the simulated path, so native and simulated runs produce bit-equal
-//! f32 ranks for any thread count.
+//! Every destination sums in the one-thread order (intra contributions in
+//! source order during scatter, then inbox messages in slot order during
+//! gather), the order the simulated path runs through the same kernel, so
+//! native and simulated runs produce bit-equal f32 ranks for any thread
+//! count.
 //!
 //! disjointness: HiPa plan (`hipa_plan_shared`) — each worker owns the
-//! vertex ranges of its `part_range` partitions, or its `Share` destination
-//! sub-range of a shared partition (rank/acc writes), the PNG message slots
-//! of its partitions or its `Unit::msgs` run of the shared partition's
-//! messages (vals writes), and its own index in the per-thread partial
+//! units of its `part_range` partitions (the kernel's writes stay inside
+//! them, see [`crate::kernel`]) and its own index in the per-thread partial
 //! arrays; `ctrl` is written only by thread 0 and read after the join. Every
 //! slice is created once before spawn and ownership never migrates, so each
 //! element has one writer thread for the whole run.
@@ -44,13 +45,12 @@ use crate::config::{DanglingPolicy, PageRankConfig};
 use crate::convergence;
 use crate::disjoint::SharedSlice;
 use crate::hb::TrackedBarrier;
+use crate::kernel::{base_value, dangling_mass, Kernel, Native, State, Step, Unit};
 use crate::pcpm::{PcpmLayout, SubRangeLists};
-use crate::prefetch::{prefetch_read, LineFilter, PREFETCH_DISTANCE};
-use crate::runs::{NativeOpts, NativeRun};
+use crate::runs::{NativeOpts, NativeRun, RunEnd};
 use hipa_graph::{DiGraph, VERTEX_BYTES};
-use hipa_obs::{PoolCounters, Recorder, TraceMeta, PATH_NATIVE, RUN_LEVEL};
-use hipa_partition::{hipa_plan_shared, Share, ThreadPlan};
-use std::ops::Range;
+use hipa_obs::{PoolCounters, Recorder};
+use hipa_partition::hipa_plan_shared;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -59,24 +59,10 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
         return run;
     }
     let n = g.num_vertices();
-    let rec = Recorder::new(opts.trace);
     if n == 0 {
-        let converged = convergence::effective_tolerance(cfg.tolerance).is_some();
-        return NativeRun {
-            ranks: Vec::new(),
-            preprocess: Default::default(),
-            compute: Default::default(),
-            iterations_run: 0,
-            converged,
-            trace: rec.finish(TraceMeta {
-                engine: "HiPa".into(),
-                path: PATH_NATIVE,
-                threads: opts.threads.max(1) as u64,
-                converged,
-                ..TraceMeta::default()
-            }),
-        };
+        return NativeRun::empty("HiPa", cfg, opts);
     }
+    let rec = Recorder::new(opts.trace);
     let threads = opts.threads.max(1);
     let tol = convergence::effective_tolerance(cfg.tolerance);
     // Residuals are needed for the stop rule *or* the trace's convergence
@@ -109,54 +95,47 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
     let units: Vec<Vec<Unit>> = thread_plans
         .iter()
         .zip(&subs)
-        .map(|(t, sub)| t.part_range.clone().map(|p| Unit::new(&layout, p, t, sub.get())).collect())
+        .map(|(t, sub)| {
+            t.part_range
+                .clone()
+                .map(|p| match sub.get() {
+                    None => Unit::whole(&layout, p),
+                    Some(l) => Unit::shared(&layout, p, t.share, t.vertex_range.clone(), l),
+                })
+                .collect()
+        })
         .collect();
     let inv_deg = crate::par::inv_deg_parallel(g, build_threads);
     let preprocess = t0.elapsed();
 
-    let d = cfg.damping;
-    let inv_n = 1.0f32 / n as f32;
-    let mut rank = vec![inv_n; n];
-    let mut acc = vec![0.0f32; n];
-    let mut vals = vec![0.0f32; layout.total_msgs as usize];
+    let mut state = State::new(&inv_deg, layout.total_msgs as usize);
     let mut partials = vec![0.0f64; threads];
-    let init_dangling: f64 = match cfg.dangling {
-        DanglingPolicy::Ignore => 0.0,
-        DanglingPolicy::Redistribute => {
-            (0..n).filter(|&v| g.out_degree(v as u32) == 0).map(|v| rank[v] as f64).sum()
-        }
-    };
-    let base0 = (1.0 - d) * inv_n + d * (init_dangling as f32) * inv_n;
+    let base0 = base_value(cfg, n, dangling_mass(g, cfg, &state.rank));
     let mut delta_partials = vec![0.0f64; threads];
     // ctrl[0] = stop flag (tolerance reached), ctrl[1] = iterations executed.
     let mut ctrl_box = vec![0u32; 2];
 
     let num_parts = layout.num_partitions;
-    let degs = g.out_degrees();
     // Adaptive hint gate — see the sim path: hints arm only when the
     // partition's random-access span spills the (assumed) L2.
     let do_prefetch = opts.prefetch && opts.partition_bytes > crate::prefetch::NATIVE_L2_BYTES;
 
     let t1 = Instant::now();
     {
-        let rank_s = SharedSlice::new(&mut rank);
-        let acc_s = SharedSlice::new(&mut acc);
-        let vals_s = SharedSlice::new(&mut vals);
+        // SAFETY: each worker steps only its own plan units, and the two
+        // barriers per iteration order every scatter against every gather.
+        let kernel = unsafe { Kernel::new(&layout, g, cfg, &inv_deg, &mut state, do_prefetch) };
         let partials_s = SharedSlice::new(&mut partials);
         let deltas_s = SharedSlice::new(&mut delta_partials);
         let ctrl_s = SharedSlice::new(&mut ctrl_box);
         let barrier = TrackedBarrier::new(threads);
         std::thread::scope(|scope| {
             for j in 0..threads {
-                let rank_s = &rank_s;
-                let acc_s = &acc_s;
-                let vals_s = &vals_s;
+                let kernel = &kernel;
                 let partials_s = &partials_s;
                 let deltas_s = &deltas_s;
                 let ctrl_s = &ctrl_s;
                 let barrier = &barrier;
-                let layout = &layout;
-                let inv_deg = &inv_deg;
                 let rec = &rec;
                 let units = &units[j];
                 let partials_all = 0..threads;
@@ -164,109 +143,20 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
                     let mut spans = rec.thread_spans(j);
                     let mut base = base0;
                     for it in 0..cfg.iterations {
-                        // --- Scatter own units: intra pass, then one
-                        // sequential bin write per destination (PNG view) ---
                         let scatter_t = spans.start();
                         for u in units {
-                            u.intra.for_each(|_, v, intra| {
-                                if intra.is_empty() {
-                                    return;
-                                }
-                                // SAFETY: rank is only written post-barrier.
-                                let val = unsafe { rank_s.get(v) } * inv_deg[v];
-                                for &dst in intra {
-                                    // SAFETY: these intra destinations lie in
-                                    // this unit's own destination range.
-                                    unsafe { acc_s.update(dst as usize, |a| *a += val) };
-                                }
-                            });
-                            for pair in layout.png_of(u.part) {
-                                let first = pair.src_start as usize;
-                                let lo = first.max(u.msgs.start);
-                                let hi = (first + pair.len as usize).min(u.msgs.end);
-                                if lo >= hi {
-                                    continue;
-                                }
-                                let srcs = &layout.png_src[lo..hi];
-                                let slot0 = pair.slot_start as usize + (lo - first);
-                                if do_prefetch {
-                                    // Warm this bin's write cursor: the slot
-                                    // run starts on a cold line per pair.
-                                    vals_s.prefetch(slot0);
-                                }
-                                let mut pf = LineFilter::new();
-                                for (k, &src) in srcs.iter().enumerate() {
-                                    if do_prefetch {
-                                        if let Some(&ahead) = srcs.get(k + PREFETCH_DISTANCE) {
-                                            if pf.admit(ahead as usize) {
-                                                rank_s.prefetch(ahead as usize);
-                                                prefetch_read(inv_deg, ahead as usize);
-                                            }
-                                        }
-                                    }
-                                    // SAFETY: rank is only written post-barrier.
-                                    let r = unsafe { rank_s.get(src as usize) };
-                                    let val = r * inv_deg[src as usize];
-                                    // SAFETY: each PNG slot has exactly one
-                                    // writer — the owner of its `msgs` run.
-                                    unsafe { vals_s.write(slot0 + k, val) };
-                                }
-                            }
+                            kernel.scatter(u, &mut Native);
                         }
                         spans.end(scatter_t, "scatter", it);
                         barrier.wait();
 
-                        // --- Gather + finalise own partitions ---
                         let gather_t = spans.start();
+                        let step = Step::native(base, track);
                         let mut dpart = 0.0f64;
                         let mut delta = 0.0f64;
                         for u in units {
-                            let mut pf = LineFilter::new();
-                            u.inbox.for_each(|i, slot, dests| {
-                                if do_prefetch {
-                                    // Run ahead on the neighbour-offset runs:
-                                    // warm the accumulators of the slot
-                                    // PREFETCH_DISTANCE messages out (each
-                                    // dest line is prefetched exactly once).
-                                    for &dst in u.inbox.list(i + PREFETCH_DISTANCE).unwrap_or(&[]) {
-                                        if pf.admit(dst as usize) {
-                                            acc_s.prefetch(dst as usize);
-                                        }
-                                    }
-                                }
-                                if dests.is_empty() {
-                                    return;
-                                }
-                                // SAFETY: the inbox is only read after the
-                                // scatter barrier.
-                                let val = unsafe { vals_s.get(slot) };
-                                for &dst in dests {
-                                    // SAFETY: dest vertices lie in the unit's
-                                    // own destination range.
-                                    unsafe { acc_s.update(dst as usize, |a| *a += val) };
-                                }
-                            });
-                            for v in u.dsts.clone() {
-                                // SAFETY: own range.
-                                let a = unsafe { acc_s.get(v) };
-                                let new = base + d * a;
-                                if track {
-                                    // SAFETY: own range (pre-write read).
-                                    let old = unsafe { rank_s.get(v) };
-                                    delta += convergence::l1_term(new, old);
-                                }
-                                // SAFETY: v is in this thread's own range;
-                                // rank is read cross-thread only pre-barrier.
-                                unsafe {
-                                    rank_s.write(v, new);
-                                    acc_s.write(v, 0.0);
-                                }
-                                if matches!(cfg.dangling, DanglingPolicy::Redistribute)
-                                    && degs[v] == 0
-                                {
-                                    dpart += new as f64;
-                                }
-                            }
+                            kernel.apply_inbox(u, &mut Native);
+                            kernel.finalise(u, &step, &mut delta, &mut dpart, &mut Native);
                         }
                         // SAFETY: slot j of both partial arrays is this
                         // thread's own.
@@ -289,7 +179,7 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
                                 // see above for the next write.
                                 mass += unsafe { partials_s.get(t) };
                             }
-                            base = (1.0 - d) * inv_n + d * (mass as f32) * inv_n;
+                            base = base_value(cfg, n, mass);
                         }
                         let mut stop = false;
                         if track {
@@ -325,124 +215,16 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
     let iterations_run = ctrl_box[1] as usize;
     let converged = ctrl_box[0] == 1;
 
-    rec.record("preprocess", RUN_LEVEL, RUN_LEVEL, preprocess.as_nanos() as f64);
-    rec.record("compute", RUN_LEVEL, RUN_LEVEL, compute.as_nanos() as f64);
-    pc.finish(&rec, threads as u64);
-    let trace = rec.finish(TraceMeta {
-        engine: "HiPa".into(),
-        path: PATH_NATIVE,
-        machine: None,
-        vertices: n as u64,
-        edges: g.num_edges() as u64,
-        threads: threads as u64,
-        partitions: Some(num_parts as u64),
-        iterations_run: iterations_run as u64,
+    let end = RunEnd {
+        engine: "HiPa",
+        g,
+        threads,
+        partitions: Some(num_parts),
+        ranks: state.rank,
+        iterations_run,
         converged,
-    });
-
-    NativeRun { ranks: rank, preprocess, compute, iterations_run, converged, trace }
-}
-
-/// Entry `i`'s list is `items[offsets[i]..offsets[i + 1]]`. Its key (a
-/// source vertex or an inbox slot) is `first + keys[i]`, or `first + i` when
-/// there are no keys: a whole partition, read straight from the layout.
-#[derive(Clone, Copy)]
-struct Lists<'a> {
-    first: usize,
-    keys: Option<&'a [u32]>,
-    offsets: &'a [u64],
-    items: &'a [u32],
-}
-
-impl<'a> Lists<'a> {
-    /// Calls `f(i, key, list)` for every entry, in order.
-    #[inline]
-    fn for_each(self, mut f: impl FnMut(usize, usize, &'a [u32])) {
-        let lists = self.offsets.windows(2).map(|w| &self.items[w[0] as usize..w[1] as usize]);
-        match self.keys {
-            None => lists.enumerate().for_each(|(i, l)| f(i, self.first + i, l)),
-            Some(keys) => keys
-                .iter()
-                .zip(lists)
-                .enumerate()
-                .for_each(|(i, (&k, l))| f(i, self.first + k as usize, l)),
-        }
-    }
-
-    /// Entry `i`'s list, if there is one.
-    #[inline]
-    fn list(self, i: usize) -> Option<&'a [u32]> {
-        self.offsets.get(i..i + 2).map(|w| &self.items[w[0] as usize..w[1] as usize])
-    }
-}
-
-/// One worker's share of one partition: the whole partition, read straight
-/// from the layout, or one [`Share`] of it, read from the lists copied for
-/// its destination sub-range (only the sources and slots that reach it).
-struct Unit<'a> {
-    part: usize,
-    /// Destinations this unit sums into and finalises.
-    dsts: Range<usize>,
-    intra: Lists<'a>,
-    inbox: Lists<'a>,
-    /// This unit's run of the partition's PNG messages (`png_src` indices).
-    msgs: Range<usize>,
-}
-
-impl<'a> Unit<'a> {
-    /// The unit of partition `p` for plan entry `t`; `sub` holds `t`'s
-    /// sub-range lists when it shares `p`.
-    fn new(
-        layout: &'a PcpmLayout,
-        p: usize,
-        t: &ThreadPlan,
-        sub: Option<&'a SubRangeLists>,
-    ) -> Self {
-        let vr = layout.partition_vertices(p);
-        let sr = &layout.part_slot_ranges[p];
-        let (vs, ss) = (vr.start as usize, sr.start as usize);
-        let (intra, inbox, dsts) = match sub {
-            None => (
-                Lists {
-                    first: vs,
-                    keys: None,
-                    offsets: &layout.intra_offsets[vs..=vr.end as usize],
-                    items: &layout.intra_dst,
-                },
-                Lists {
-                    first: ss,
-                    keys: None,
-                    offsets: &layout.dest_offsets[ss..=sr.end as usize],
-                    items: &layout.dest_verts,
-                },
-                vs..vr.end as usize,
-            ),
-            Some(l) => (
-                Lists {
-                    first: vs,
-                    keys: Some(&l.intra.keys),
-                    offsets: &l.intra.offsets,
-                    items: &l.intra.items,
-                },
-                Lists {
-                    first: ss,
-                    keys: Some(&l.inbox.keys),
-                    offsets: &l.inbox.offsets,
-                    items: &l.inbox.items,
-                },
-                t.vertex_range.start as usize..t.vertex_range.end as usize,
-            ),
-        };
-        let Share { index, of } = t.share;
-        let m = layout.png_msgs(p);
-        Unit {
-            part: p,
-            dsts,
-            intra,
-            inbox,
-            msgs: m.start + m.len() * index / of..m.start + m.len() * (index + 1) / of,
-        }
-    }
+    };
+    NativeRun::finish(end, rec, pc, preprocess, compute)
 }
 
 #[cfg(test)]

@@ -6,16 +6,24 @@
 //! Threads are created once, pinned node-major (physical cores before SMT
 //! siblings), and run the whole iterative scatter–gather computation
 //! (Algorithm 2).
+//!
+//! The iteration is the shared partition-centric kernel ([`crate::kernel`])
+//! with the [`Sim`] charge over this engine's [`SimRegions`]; this file keeps
+//! the plan, the region placement and allocation order, the preprocessing
+//! charge and the thread lifecycle of each [`HiPaVariant`]. The simulator
+//! plans whole partitions ([`Unit::whole`]); `phase_balanced` replays the
+//! simulated threads one after another on one host thread, so the kernel's
+//! `SharedSlice` accesses never overlap.
 
 use crate::config::{DanglingPolicy, PageRankConfig};
 use crate::convergence;
 use crate::hipa::placement::vertex_ends;
+use crate::kernel::{base_value, dangling_mass, Arr, Kernel, Sim, SimRegions, State, Step, Unit};
 use crate::pcpm::PcpmLayout;
-use crate::prefetch::{LineFilter, PREFETCH_DISTANCE};
-use crate::runs::{SimOpts, SimRun};
+use crate::runs::{RunEnd, SimOpts, SimRun};
 use hipa_graph::{DiGraph, VERTEX_BYTES};
 use hipa_numasim::{PhaseBalance, Placement, PoolId, SimMachine, ThreadPlacement};
-use hipa_obs::{record_sim_report, PoolCounters, Recorder, TraceMeta, PATH_SIM, RUN_LEVEL};
+use hipa_obs::{PoolCounters, Recorder, RUN_LEVEL};
 use hipa_partition::hipa_plan_with_prefix;
 
 /// Design-choice switches for the ablation experiments (DESIGN.md §7). The
@@ -73,28 +81,11 @@ pub fn run_variant(
         return run;
     }
     let n = g.num_vertices();
+    if n == 0 {
+        return SimRun::empty("HiPa", cfg, opts);
+    }
     let mut machine = SimMachine::new(opts.machine.clone());
     let rec = Recorder::new(opts.trace);
-    if n == 0 {
-        let converged = convergence::effective_tolerance(cfg.tolerance).is_some();
-        let report = machine.report("HiPa");
-        return SimRun {
-            ranks: Vec::new(),
-            iterations_run: 0,
-            converged,
-            trace: rec.finish(TraceMeta {
-                engine: "HiPa".into(),
-                path: PATH_SIM,
-                machine: Some(report.machine.clone()),
-                threads: opts.threads as u64,
-                converged,
-                ..TraceMeta::default()
-            }),
-            report,
-            preprocess_cycles: 0.0,
-            compute_cycles: 0.0,
-        };
-    }
     let topo = machine.spec().topology;
     let sockets = topo.sockets;
     let threads = opts.threads.clamp(sockets, topo.logical_cpus());
@@ -121,9 +112,8 @@ pub fn run_variant(
     let plan = hipa_plan_with_prefix(&prefix, sockets, tpn, vpp);
     let layout =
         PcpmLayout::build_par_ext(g.out_csr(), vpp, false, variant.compress_inter, build_threads);
+    let parts = layout.num_partitions;
     let msgs = layout.total_msgs as usize;
-    let n_intra = layout.intra_dst.len();
-    let n_dest = layout.dest_verts.len();
 
     // ---- Regions: partition-mapped contiguous layout (§3.4), or fully
     // interleaved when the placement ablation disables it ----
@@ -136,57 +126,39 @@ pub fn run_variant(
         }
     };
     let v_ends = vertex_ends(&plan);
-    let rank_r = machine.alloc("rank", 4 * n, blocked_by_index(&v_ends, 4));
-    // Pre-scaled contributions (rank/outdeg, computed once per vertex at
-    // finalise time) — the PCPM trick that keeps each phase's random working
-    // set to ONE vertex array per partition.
-    let contrib_r = machine.alloc("contrib", 4 * n, blocked_by_index(&v_ends, 4));
-    let acc_r = machine.alloc("acc", 4 * n, blocked_by_index(&v_ends, 4));
-    let invdeg_r = machine.alloc("inv_deg", 4 * n, blocked_by_index(&v_ends, 4));
-    let deg_r = machine.alloc("deg", 4 * n, blocked_by_index(&v_ends, 4));
+    let intra_ends: Vec<u64> = v_ends.iter().map(|&v| layout.intra_offsets[v as usize]).collect();
+    // Each node's end in an array indexed by partition runs: the end of its
+    // last partition's run.
+    let node_ends = |run_end: &dyn Fn(usize) -> u64| -> Vec<u64> {
+        let last = |nd: &hipa_partition::NodePlan| nd.part_range.end.checked_sub(1);
+        plan.nodes.iter().map(|nd| last(nd).map_or(0, run_end)).collect()
+    };
+    // The PNG scatter view is split by *source* partition ownership.
+    let pair_ends = node_ends(&|p| layout.png_index[p].end as u64);
+    let msg_ends: Vec<u64> = v_ends.iter().map(|&v| layout.msg_offsets[v as usize]).collect();
+    // Gather-side arrays are split by *destination* partition ownership, so
+    // a node gathers from local memory (Fig. 1).
+    let slot_ends = node_ends(&|p| layout.part_slot_ranges[p].end);
+    let dest_ends: Vec<u64> = slot_ends.iter().map(|&s| layout.dest_offsets[s as usize]).collect();
     // Runtime metadata widths follow the real PCPM encoding: u32 intra
     // offsets, 12-byte PNG bin headers, u32 source lists, MSB-flagged u32
     // destination lists. (Host-side mirrors may be wider; only the charged
-    // widths model DRAM traffic.)
-    let intra_off_r = machine.alloc(
-        "intra_offsets",
-        4 * (n + 1),
-        blocked_by_index(&plus_one_elem(v_ends.clone()), 4),
-    );
-    let intra_ends: Vec<u64> = v_ends.iter().map(|&v| layout.intra_offsets[v as usize]).collect();
-    let intra_dst_r = machine.alloc("intra_dst", 4 * n_intra, blocked_by_index(&intra_ends, 4));
-    // PNG scatter view, split by *source* partition ownership.
-    let pair_ends: Vec<u64> = plan
-        .nodes
-        .iter()
-        .map(|nd| {
-            if nd.part_range.end == 0 {
-                0
-            } else {
-                layout.png_index[nd.part_range.end - 1].end as u64
+    // widths model DRAM traffic.) The vertex arrays are split by vertex
+    // ownership.
+    let regions = SimRegions::alloc(&mut machine, &layout, 4, 0, |a, bytes| {
+        let placement = match a {
+            Arr::IntraOffsets => blocked_by_index(&plus_one_elem(v_ends.clone()), 4),
+            Arr::IntraDst => blocked_by_index(&intra_ends, 4),
+            Arr::PngPairs => blocked_by_index(&pair_ends, 12),
+            Arr::PngSrc => blocked_by_index(&msg_ends, 4),
+            Arr::Vals => blocked_by_index(&slot_ends, 4),
+            Arr::DestVerts => blocked_by_index(&dest_ends, 4),
+            Arr::Rank | Arr::Contrib | Arr::Acc | Arr::InvDeg | Arr::Deg => {
+                blocked_by_index(&v_ends, 4)
             }
-        })
-        .collect();
-    let png_pairs_r =
-        machine.alloc("png_pairs", 12 * layout.png_pairs.len(), blocked_by_index(&pair_ends, 12));
-    let msg_ends: Vec<u64> = v_ends.iter().map(|&v| layout.msg_offsets[v as usize]).collect();
-    let png_src_r = machine.alloc("png_src", 4 * msgs, blocked_by_index(&msg_ends, 4));
-    // Gather-side arrays are split by *destination* partition ownership, so
-    // a node gathers from local memory (Fig. 1).
-    let slot_ends: Vec<u64> = plan
-        .nodes
-        .iter()
-        .map(|nd| {
-            if nd.part_range.end == 0 {
-                0
-            } else {
-                layout.part_slot_ranges[nd.part_range.end - 1].end
-            }
-        })
-        .collect();
-    let vals_r = machine.alloc("vals", 4 * msgs, blocked_by_index(&slot_ends, 4));
-    let dest_ends: Vec<u64> = slot_ends.iter().map(|&s| layout.dest_offsets[s as usize]).collect();
-    let dest_verts_r = machine.alloc("dest_verts", 4 * n_dest, blocked_by_index(&dest_ends, 4));
+        };
+        (bytes, placement)
+    });
     // Raw CSR as loaded from disk, before any NUMA awareness: interleaved.
     let m = g.num_edges();
     let csr_tgt_r = machine.alloc("csr_targets", 4 * m.max(1), Placement::Interleaved);
@@ -206,22 +178,7 @@ pub fn run_variant(
             }
             ctx.compute(2 * m as u64);
         }
-        for (r, bytes) in [
-            (rank_r, 4 * n),
-            (contrib_r, 4 * n),
-            (acc_r, 4 * n),
-            (invdeg_r, 4 * n),
-            (deg_r, 4 * n),
-            (intra_off_r, 4 * (n + 1)),
-            (intra_dst_r, 4 * n_intra),
-            (png_pairs_r, 12 * layout.png_pairs.len()),
-            (png_src_r, 4 * msgs),
-            (dest_verts_r, 4 * n_dest),
-        ] {
-            if bytes > 0 {
-                ctx.stream_write(r, 0, bytes);
-            }
-        }
+        regions.bind(ctx, &[Arr::Vals]);
     });
     let preprocess_cycles = machine.cycles();
     rec.record("preprocess", RUN_LEVEL, RUN_LEVEL, preprocess_cycles);
@@ -259,19 +216,14 @@ pub fn run_variant(
         persistent_pool.unwrap_or_else(|| machine.create_pool(threads, &per_region_placement));
 
     // ---- Host-side working state (actual computation data) ----
-    let d = cfg.damping;
-    let inv_n = 1.0f32 / n as f32;
     let inv_deg = crate::par::inv_deg_parallel(g, build_threads);
-    let mut rank = vec![inv_n; n];
-    let mut contrib: Vec<f32> = (0..n).map(|v| inv_n * inv_deg[v]).collect();
-    let mut acc = vec![0.0f32; n];
-    let mut vals = vec![0.0f32; msgs];
+    let mut state = State::new(&inv_deg, msgs);
     let thread_parts: Vec<Vec<usize>> = if variant.thread_pinning {
         plan.threads().map(|(_, _, t)| t.part_range.clone().collect()).collect()
     } else {
         // FCFS claiming, emulated as a round-robin deal (the order a shared
         // counter converges to under uniform progress).
-        (0..threads).map(|j| (j..layout.num_partitions).step_by(threads).collect()).collect()
+        (0..threads).map(|j| (j..parts).step_by(threads).collect()).collect()
     };
 
     // Init phase: every thread first-touches its own slices.
@@ -283,19 +235,14 @@ pub fn run_variant(
             if len == 0 {
                 continue;
             }
-            ctx.stream_write(contrib_r, 4 * lo, 4 * len);
-            ctx.stream_write(acc_r, 4 * lo, 4 * len);
-            ctx.stream_write(invdeg_r, 4 * lo, 4 * len);
+            for a in [Arr::Contrib, Arr::Acc, Arr::InvDeg] {
+                ctx.stream_write(regions.id(a), 4 * lo, 4 * len);
+            }
         }
     });
     rec.record("init", RUN_LEVEL, RUN_LEVEL, machine.cycles() - init_c0);
 
-    let mut dangling_mass: f64 = match cfg.dangling {
-        DanglingPolicy::Ignore => 0.0,
-        DanglingPolicy::Redistribute => {
-            (0..n).filter(|&v| g.out_degree(v as u32) == 0).map(|v| rank[v] as f64).sum()
-        }
-    };
+    let mut dangling = dangling_mass(g, cfg, &state.rank);
 
     // ---- Iterations: scatter; barrier; gather+finalize; barrier ----
     let tol = convergence::effective_tolerance(cfg.tolerance);
@@ -308,238 +255,71 @@ pub fn run_variant(
     let track_host = track_model || rec.enabled();
     let mut iterations_run = 0usize;
     let mut converged = false;
-    for it in 0..cfg.iterations {
-        // Under tolerance mode the rank vector is materialised every
-        // iteration (needed for the delta and as the final output).
-        let charge_last = it + 1 == cfg.iterations || track_model;
-        let materialise = it + 1 == cfg.iterations || track_host;
-        let base = (1.0 - d) * inv_n + d * (dangling_mass as f32) * inv_n;
+    {
+        // SAFETY: `phase_balanced` steps the simulated threads one after
+        // another on this thread, so no two units ever run at the same time.
+        let kernel = unsafe { Kernel::new(&layout, g, cfg, &inv_deg, &mut state, do_prefetch) };
+        for it in 0..cfg.iterations {
+            let last = it + 1 == cfg.iterations;
+            let step = Step::sim(base_value(cfg, n, dangling), last, track_model, track_host);
 
-        // Scatter: stream own partitions, apply intra edges in-cache, write
-        // compressed messages into destination bins.
-        let pool =
-            persistent_pool.unwrap_or_else(|| machine.create_pool(threads, &per_region_placement));
-        let scatter_c0 = machine.cycles();
-        {
-            let contrib = &contrib;
-            let acc = &mut acc;
-            let vals = &mut vals;
-            let layout = &layout;
-            let thread_parts = &thread_parts;
+            // Scatter: stream own partitions, apply intra edges in-cache, write
+            // compressed messages into destination bins.
+            let pool = persistent_pool
+                .unwrap_or_else(|| machine.create_pool(threads, &per_region_placement));
+            let scatter_c0 = machine.cycles();
             machine.phase_balanced(pool, balance, |j, ctx| {
+                let mut c = Sim { ctx, regions: &regions };
                 for &p in &thread_parts[j] {
-                    let vr = layout.partition_vertices(p);
-                    let (lo, hi) = (vr.start as usize, vr.end as usize);
-                    if lo == hi {
-                        continue;
-                    }
-                    let len = hi - lo;
-                    // Intra pass: apply same-partition edges directly in the
-                    // private cache (Fig. 4 left).
-                    let ilo = layout.intra_offsets[lo] as usize;
-                    let ihi = layout.intra_offsets[hi] as usize;
-                    if ihi > ilo {
-                        ctx.stream_read(intra_off_r, 4 * lo, 4 * (len + 1));
-                        ctx.stream_read(intra_dst_r, 4 * ilo, 4 * (ihi - ilo));
-                        for v in lo..hi {
-                            let intra = layout.intra_of(v as u32);
-                            if intra.is_empty() {
-                                continue;
-                            }
-                            ctx.read(contrib_r, 4 * v, 4);
-                            let val = contrib[v];
-                            for &dst in intra {
-                                acc[dst as usize] += val;
-                                ctx.write(acc_r, 4 * dst as usize, 4);
-                            }
-                            ctx.compute(1 + intra.len() as u64);
-                        }
-                    }
-                    // PNG pass: one sequential bin write per destination
-                    // partition (Fig. 4 right).
-                    let pairs = layout.png_of(p);
-                    if !pairs.is_empty() {
-                        let pr = layout.png_index[p].clone();
-                        ctx.stream_read(png_pairs_r, 12 * pr.start as usize, 12 * pairs.len());
-                    }
-                    for pair in pairs {
-                        let srcs = layout.png_sources(pair);
-                        ctx.stream_read(png_src_r, 4 * pair.src_start as usize, 4 * srcs.len());
-                        ctx.stream_write(vals_r, 4 * pair.slot_start as usize, 4 * srcs.len());
-                        // Mirror the native kernel's hints: warm the bin
-                        // write cursor once per pair, run ahead on the
-                        // random contribution reads.
-                        if do_prefetch {
-                            ctx.prefetch(vals_r, 4 * pair.slot_start as usize, 4);
-                        }
-                        let mut pf = LineFilter::new();
-                        for (k, &src) in srcs.iter().enumerate() {
-                            if do_prefetch {
-                                if let Some(&ahead) = srcs.get(k + PREFETCH_DISTANCE) {
-                                    if pf.admit(ahead as usize) {
-                                        ctx.prefetch(contrib_r, 4 * ahead as usize, 4);
-                                    }
-                                }
-                            }
-                            ctx.read(contrib_r, 4 * src as usize, 4);
-                            vals[pair.slot_start as usize + k] = contrib[src as usize];
-                        }
-                        ctx.compute(srcs.len() as u64);
-                    }
+                    kernel.scatter(&Unit::whole(&layout, p), &mut c);
                 }
                 if rec.enabled() {
-                    rec.record("scatter", j as i64, it as i64, ctx.thread_cycles());
+                    rec.record("scatter", j as i64, it as i64, c.ctx.thread_cycles());
                 }
             });
-        }
+            rec.record("scatter", RUN_LEVEL, it as i64, machine.cycles() - scatter_c0);
 
-        rec.record("scatter", RUN_LEVEL, it as i64, machine.cycles() - scatter_c0);
-
-        // Gather: stream the partition's inbox, propagate each message to
-        // its destination vertices, then finalise the partition's new ranks.
-        let pool =
-            persistent_pool.unwrap_or_else(|| machine.create_pool(threads, &per_region_placement));
-        let gather_c0 = machine.cycles();
-        let mut partials = vec![0.0f64; threads];
-        let mut delta_partials = vec![0.0f64; threads];
-        {
-            let rank = &mut rank;
-            let contrib = &mut contrib;
-            let inv_deg = &inv_deg;
-            let acc = &mut acc;
-            let vals = &vals;
-            let layout = &layout;
-            let thread_parts = &thread_parts;
-            let degs = g.out_degrees();
-            let partials = &mut partials;
-            let delta_partials = &mut delta_partials;
-            let dangling = cfg.dangling;
+            // Gather: stream the partition's inbox, propagate each message to
+            // its destination vertices, then finalise the partition's new ranks.
+            let pool = persistent_pool
+                .unwrap_or_else(|| machine.create_pool(threads, &per_region_placement));
+            let gather_c0 = machine.cycles();
+            let mut partials = vec![0.0f64; threads];
+            let mut delta_partials = vec![0.0f64; threads];
             machine.phase_balanced(pool, balance, |j, ctx| {
-                let mut dpart = 0.0f64;
-                let mut delta = 0.0f64;
+                let mut c = Sim { ctx, regions: &regions };
                 for &q in &thread_parts[j] {
-                    let sr = layout.part_slot_ranges[q].clone();
-                    let (slo, shi) = (sr.start as usize, sr.end as usize);
-                    if shi > slo {
-                        ctx.stream_read(vals_r, 4 * slo, 4 * (shi - slo));
-                        // Message boundaries ride as MSB flags inside the
-                        // destination list — 4 bytes per edge, no separate
-                        // offsets stream.
-                        let dlo = layout.dest_offsets[slo] as usize;
-                        let dhi = layout.dest_offsets[shi] as usize;
-                        if dhi > dlo {
-                            ctx.stream_read(dest_verts_r, 4 * dlo, 4 * (dhi - dlo));
-                        }
-                        let mut pf = LineFilter::new();
-                        for k in slo..shi {
-                            // Run ahead on the accumulator lines the slot
-                            // `PREFETCH_DISTANCE` messages onward will hit
-                            // (mirrors the native kernel's hints).
-                            if do_prefetch {
-                                let ka = k + PREFETCH_DISTANCE;
-                                if ka < shi {
-                                    for &dst in layout.dests_of(ka as u64) {
-                                        if pf.admit(dst as usize) {
-                                            ctx.prefetch(acc_r, 4 * dst as usize, 4);
-                                        }
-                                    }
-                                }
-                            }
-                            let val = vals[k];
-                            let dests = layout.dests_of(k as u64);
-                            for &dst in dests {
-                                acc[dst as usize] += val;
-                                ctx.write(acc_r, 4 * dst as usize, 4);
-                            }
-                            ctx.compute(dests.len() as u64);
-                        }
-                    }
-                    // Finalise this partition (its inbox is fully applied and
-                    // intra contributions landed in the scatter phase).
-                    let vr = layout.partition_vertices(q);
-                    let (lo, hi) = (vr.start as usize, vr.end as usize);
-                    if lo == hi {
-                        continue;
-                    }
-                    let len = hi - lo;
-                    ctx.stream_read(acc_r, 4 * lo, 4 * len);
-                    ctx.stream_read(invdeg_r, 4 * lo, 4 * len);
-                    ctx.stream_write(contrib_r, 4 * lo, 4 * len);
-                    ctx.stream_write(acc_r, 4 * lo, 4 * len);
-                    if charge_last {
-                        if track_model {
-                            ctx.stream_read(rank_r, 4 * lo, 4 * len);
-                        }
-                        ctx.stream_write(rank_r, 4 * lo, 4 * len);
-                    }
-                    if matches!(dangling, DanglingPolicy::Redistribute) {
-                        ctx.stream_read(deg_r, 4 * lo, 4 * len);
-                    }
-                    for v in lo..hi {
-                        let new = base + d * acc[v];
-                        contrib[v] = new * inv_deg[v];
-                        acc[v] = 0.0;
-                        if materialise {
-                            if track_host {
-                                delta += convergence::l1_term(new, rank[v]);
-                            }
-                            rank[v] = new;
-                        }
-                        if matches!(dangling, DanglingPolicy::Redistribute) && degs[v] == 0 {
-                            dpart += new as f64;
-                        }
-                    }
-                    ctx.compute(3 * len as u64);
+                    let u = Unit::whole(&layout, q);
+                    kernel.apply_inbox(&u, &mut c);
+                    kernel.finalise(&u, &step, &mut delta_partials[j], &mut partials[j], &mut c);
                 }
-                partials[j] = dpart;
-                delta_partials[j] = delta;
                 if rec.enabled() {
-                    rec.record("gather", j as i64, it as i64, ctx.thread_cycles());
+                    rec.record("gather", j as i64, it as i64, c.ctx.thread_cycles());
                 }
             });
-        }
-        rec.record("gather", RUN_LEVEL, it as i64, machine.cycles() - gather_c0);
-        if matches!(cfg.dangling, DanglingPolicy::Redistribute) {
-            dangling_mass = partials.iter().sum();
-        }
-        iterations_run = it + 1;
-        if track_host {
-            let residual = convergence::reduce(&delta_partials);
-            rec.gauge(it, Some(residual), Some(layout.num_partitions as u64));
-            if let Some(t) = tol {
-                if convergence::should_stop(residual, t) {
-                    converged = true;
-                    break;
-                }
+            rec.record("gather", RUN_LEVEL, it as i64, machine.cycles() - gather_c0);
+            if matches!(cfg.dangling, DanglingPolicy::Redistribute) {
+                dangling = partials.iter().sum();
+            }
+            iterations_run = it + 1;
+            if track_host && convergence::check(&rec, it, &delta_partials, Some(parts as u64), tol)
+            {
+                converged = true;
+                break;
             }
         }
     }
 
-    let total = machine.cycles();
-    rec.record("compute", RUN_LEVEL, RUN_LEVEL, total - preprocess_cycles);
-    let report = machine.report("HiPa");
-    record_sim_report(&rec, &report);
-    pc.finish(&rec, threads as u64);
-    let trace = rec.finish(TraceMeta {
-        engine: "HiPa".into(),
-        path: PATH_SIM,
-        machine: Some(report.machine.clone()),
-        vertices: n as u64,
-        edges: g.num_edges() as u64,
-        threads: threads as u64,
-        partitions: Some(layout.num_partitions as u64),
-        iterations_run: iterations_run as u64,
-        converged,
-    });
-    SimRun {
-        ranks: rank,
+    let end = RunEnd {
+        engine: "HiPa",
+        g,
+        threads,
+        partitions: Some(parts),
+        ranks: state.rank,
         iterations_run,
         converged,
-        report,
-        preprocess_cycles,
-        compute_cycles: total - preprocess_cycles,
-        trace,
-    }
+    };
+    SimRun::finish(end, rec, pc, &machine, preprocess_cycles)
 }
 
 #[cfg(test)]

@@ -15,6 +15,8 @@
 //!   execution path each;
 //! * [`PcpmLayout`] — the partition-centric scatter/gather data layout with
 //!   compressed inter-edges, shared with the `p-PR` and `GPOP` baselines;
+//! * [`kernel`] — the partition-centric iteration over that layout, written
+//!   once for HiPa, p-PR and GPOP on both execution paths;
 //! * [`HiPa`] — the engine itself.
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -23,6 +25,7 @@ pub mod convergence;
 pub mod disjoint;
 pub mod hb;
 pub mod hipa;
+pub mod kernel;
 pub mod par;
 pub mod pcpm;
 pub mod prefetch;
@@ -37,4 +40,4 @@ pub use hipa::HiPa;
 pub use pcpm::{layout_builds_total, PcpmLayout};
 pub use prepared::PcpmPrepared;
 pub use reference::reference_pagerank;
-pub use runs::{Engine, NativeOpts, NativeRun, ReorderStrategy, SimOpts, SimRun};
+pub use runs::{Engine, NativeOpts, NativeRun, ReorderStrategy, RunEnd, SimOpts, SimRun};

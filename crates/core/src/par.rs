@@ -180,4 +180,10 @@ mod tests {
         // ordering: relaxed (read after join — no concurrent writers left).
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
+
+    #[test]
+    fn inv_deg_handles_dangling() {
+        let g = DiGraph::from_edge_list(&hipa_graph::gen::path(3));
+        assert_eq!(inv_deg_parallel(&g, 1), vec![1.0, 1.0, 0.0]);
+    }
 }

@@ -13,9 +13,13 @@
 //!   modelled cycle counts and memory-system statistics.
 
 use crate::config::PageRankConfig;
+use crate::convergence;
 use hipa_graph::DiGraph;
-use hipa_numasim::{MachineSpec, SimReport};
-use hipa_obs::RunTrace;
+use hipa_numasim::{MachineSpec, SimMachine, SimReport};
+use hipa_obs::{
+    record_sim_report, PoolCounters, Recorder, RunTrace, TraceMeta, PATH_NATIVE, PATH_SIM,
+    RUN_LEVEL,
+};
 use std::time::Duration;
 
 /// Vertex-relabelling preprocessing applied before an engine runs (the
@@ -240,6 +244,73 @@ pub struct NativeRun {
     pub trace: Option<RunTrace>,
 }
 
+/// How a run on `g` ended, on either path.
+pub struct RunEnd<'a> {
+    pub engine: &'a str,
+    pub g: &'a DiGraph,
+    pub threads: usize,
+    /// Cache partitions, for the partition-centric engines.
+    pub partitions: Option<usize>,
+    pub ranks: Vec<f32>,
+    pub iterations_run: usize,
+    pub converged: bool,
+}
+
+impl RunEnd<'_> {
+    fn meta(&self, path: &'static str, machine: Option<String>) -> TraceMeta {
+        TraceMeta {
+            engine: self.engine.into(),
+            path,
+            machine,
+            vertices: self.g.num_vertices() as u64,
+            edges: self.g.num_edges() as u64,
+            threads: self.threads as u64,
+            partitions: self.partitions.map(|p| p as u64),
+            iterations_run: self.iterations_run as u64,
+            converged: self.converged,
+        }
+    }
+}
+
+impl NativeRun {
+    /// Records the run's phase times and pool deltas into `rec`, then
+    /// closes its trace.
+    pub fn finish(
+        end: RunEnd,
+        rec: Recorder,
+        pc: PoolCounters,
+        preprocess: Duration,
+        compute: Duration,
+    ) -> Self {
+        rec.record("preprocess", RUN_LEVEL, RUN_LEVEL, preprocess.as_nanos() as f64);
+        rec.record("compute", RUN_LEVEL, RUN_LEVEL, compute.as_nanos() as f64);
+        pc.finish(&rec, end.threads as u64);
+        let trace = rec.finish(end.meta(PATH_NATIVE, None));
+        let RunEnd { ranks, iterations_run, converged, .. } = end;
+        NativeRun { ranks, preprocess, compute, iterations_run, converged, trace }
+    }
+
+    /// `engine`'s run on a graph with no vertices: no ranks, no iterations,
+    /// and `converged` exactly when a (valid) tolerance was set.
+    pub fn empty(engine: &str, cfg: &PageRankConfig, opts: &NativeOpts) -> Self {
+        let converged = convergence::effective_tolerance(cfg.tolerance).is_some();
+        NativeRun {
+            ranks: Vec::new(),
+            preprocess: Duration::ZERO,
+            compute: Duration::ZERO,
+            iterations_run: 0,
+            converged,
+            trace: Recorder::new(opts.trace).finish(TraceMeta {
+                engine: engine.into(),
+                path: PATH_NATIVE,
+                threads: opts.threads.max(1) as u64,
+                converged,
+                ..TraceMeta::default()
+            }),
+        }
+    }
+}
+
 /// Result of a simulated run.
 #[derive(Debug, Clone)]
 pub struct SimRun {
@@ -263,6 +334,57 @@ pub struct SimRun {
 }
 
 impl SimRun {
+    /// Records the iterations' cycles (everything `machine` ran after the
+    /// first `preprocess_cycles`), the machine report and the pool deltas
+    /// into `rec`, then closes its trace.
+    pub fn finish(
+        end: RunEnd,
+        rec: Recorder,
+        pc: PoolCounters,
+        machine: &SimMachine,
+        preprocess_cycles: f64,
+    ) -> Self {
+        let compute_cycles = machine.cycles() - preprocess_cycles;
+        rec.record("compute", RUN_LEVEL, RUN_LEVEL, compute_cycles);
+        let report = machine.report(end.engine);
+        record_sim_report(&rec, &report);
+        pc.finish(&rec, end.threads as u64);
+        let trace = rec.finish(end.meta(PATH_SIM, Some(report.machine.clone())));
+        let RunEnd { ranks, iterations_run, converged, .. } = end;
+        SimRun {
+            ranks,
+            iterations_run,
+            converged,
+            report,
+            preprocess_cycles,
+            compute_cycles,
+            trace,
+        }
+    }
+
+    /// [`NativeRun::empty`] on the simulated path: an idle machine's report
+    /// and no cycles.
+    pub fn empty(engine: &str, cfg: &PageRankConfig, opts: &SimOpts) -> Self {
+        let converged = convergence::effective_tolerance(cfg.tolerance).is_some();
+        let report = SimMachine::new(opts.machine.clone()).report(engine);
+        SimRun {
+            ranks: Vec::new(),
+            iterations_run: 0,
+            converged,
+            trace: Recorder::new(opts.trace).finish(TraceMeta {
+                engine: engine.into(),
+                path: PATH_SIM,
+                machine: Some(report.machine.clone()),
+                threads: opts.threads as u64,
+                converged,
+                ..TraceMeta::default()
+            }),
+            report,
+            preprocess_cycles: 0.0,
+            compute_cycles: 0.0,
+        }
+    }
+
     /// Simulated seconds for the iterations only (Table 2's quantity).
     pub fn compute_seconds(&self) -> f64 {
         self.compute_cycles / (self.report.ghz * 1e9)

@@ -8,12 +8,10 @@ pub mod ba;
 pub mod er;
 pub mod rmat;
 pub mod structured;
-pub mod ws;
 pub mod zipf;
 
 pub use ba::barabasi_albert;
 pub use er::erdos_renyi;
 pub use rmat::{rmat, RmatParams};
 pub use structured::{complete, cycle, grid, path, star};
-pub use ws::watts_strogatz;
 pub use zipf::{zipf_graph, ZipfParams};

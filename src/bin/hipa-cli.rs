@@ -325,6 +325,7 @@ fn simulate(a: &Args) -> Result<()> {
     let machine = machine.scaled(scale.max(1));
     let engine = engine_by_name(a.get("engine").unwrap_or("hipa"))?;
     let threads = a.get_usize("threads", machine.topology.logical_cpus())?;
+    check_sim_threads(engine.name(), threads, &machine)?;
     let iters = a.get_usize("iterations", 20)?;
     let part = parse_size(a.get("partition").unwrap_or("256K"))? / scale.max(1);
     let mut cfg = PageRankConfig::default().with_iterations(iters);
@@ -360,6 +361,21 @@ fn simulate(a: &Args) -> Result<()> {
     );
     if let (Some(path), Some(trace)) = (trace_out, &run.trace) {
         write_traces(path, std::slice::from_ref(trace))?;
+    }
+    Ok(())
+}
+
+/// HiPa's simulated path spreads its threads evenly over the machine's
+/// sockets: after its clamp to `sockets..=logical CPUs`, the count must be a
+/// multiple of the socket count.
+fn check_sim_threads(engine: &str, threads: usize, machine: &MachineSpec) -> Result<()> {
+    let topo = machine.topology;
+    let sockets = topo.sockets;
+    if engine == HiPa.name() && !threads.clamp(sockets, topo.logical_cpus()).is_multiple_of(sockets)
+    {
+        return Err(format!(
+            "--threads {threads}: HiPa needs a multiple of the machine's {sockets} sockets"
+        ));
     }
     Ok(())
 }
@@ -573,6 +589,20 @@ mod tests {
             assert!(engine_by_name(n).is_ok());
         }
         assert!(engine_by_name("nope").is_err());
+    }
+
+    #[test]
+    fn hipa_sim_threads_must_fill_every_socket() {
+        let skylake = MachineSpec::skylake_4210();
+        assert_eq!(skylake.topology.sockets, 2);
+        let err = check_sim_threads("HiPa", 3, &skylake).unwrap_err();
+        assert!(err.contains("2 sockets"), "{err}");
+        // 1 clamps up to one thread per socket; past the CPU count clamps
+        // down to all of them.
+        for ok in [1, 2, 4, 40, 1000] {
+            assert!(check_sim_threads("HiPa", ok, &skylake).is_ok(), "{ok} threads");
+        }
+        assert!(check_sim_threads("p-PR", 3, &skylake).is_ok());
     }
 
     #[test]

@@ -165,6 +165,30 @@ fn zero_iterations_returns_uniform() {
 }
 
 #[test]
+fn every_engine_runs_an_empty_graph() {
+    let g = DiGraph::from_edge_list(&EdgeList::new(0, Vec::new()));
+    for tolerance in [None, Some(1e-6)] {
+        let mut cfg = PageRankConfig::default().with_iterations(10);
+        if let Some(t) = tolerance {
+            cfg = cfg.with_tolerance(t);
+        }
+        for e in all_engines() {
+            let native = e.run_native(&g, &cfg, &NativeOpts::new(2, 1024));
+            let sim = e.run_sim(&g, &cfg, &SimOpts::new(MachineSpec::tiny_test()));
+            for (path, ranks, iterations, converged) in [
+                ("native", native.ranks, native.iterations_run, native.converged),
+                ("sim", sim.ranks, sim.iterations_run, sim.converged),
+            ] {
+                let at = format!("{} {path}, tolerance {tolerance:?}", e.name());
+                assert!(ranks.is_empty(), "{at}");
+                assert_eq!(iterations, 0, "{at}");
+                assert_eq!(converged, tolerance.is_some(), "{at}");
+            }
+        }
+    }
+}
+
+#[test]
 fn every_engine_tolerance_stops_within_one_iteration_of_hipa() {
     // The shared convergence rule (hipa_core::convergence) makes every
     // engine stop on the same residual decision; accumulation order differs

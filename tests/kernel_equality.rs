@@ -9,8 +9,10 @@
 //! * reordered runs still answer the same question: ranks mapped back to
 //!   the input labelling agree with the input-order run to float tolerance.
 
+use hipa::graph::gen::erdos_renyi;
 use hipa::graph::reorder::by_frequency_clusters;
 use hipa::graph::stats::partition_census;
+use hipa::graph::Edge;
 use hipa::prelude::*;
 use hipa_baselines::all_engines;
 use proptest::prelude::*;
@@ -94,6 +96,43 @@ fn equality_matrix_native_sim_prefetch_within_strategy() {
                     assert_eq!(reference, ranks, "{at}: {path} diverged from native on");
                 }
             }
+        }
+    }
+    // At 512 B the "on" rows run unarmed: the partitions sit under both
+    // adaptive prefetch gates (the native `NATIVE_L2_BYTES` and the sim
+    // machine's L2). 2 MiB partitions sit above both. A small random graph's
+    // edges, spread over two such partitions, give the partition-centric
+    // engines inter-partition messages, so every armed sim run must count
+    // hints, and every path must still agree bit for bit.
+    let bytes = 2 << 20;
+    let machine = MachineSpec::tiny_test();
+    assert!(bytes > hipa::core::prefetch::NATIVE_L2_BYTES && bytes > machine.l2.size_bytes);
+    let stride = 3000;
+    let spread = erdos_renyi(220, 1600, 9)
+        .edges()
+        .iter()
+        .map(|e| Edge::new(e.src * stride, e.dst * stride))
+        .collect();
+    let g = DiGraph::from_edge_list(&EdgeList::new(220 * stride as usize, spread));
+    assert!(g.num_vertices() > bytes / 4, "spans two partitions");
+    for e in all_engines() {
+        let nat = NativeOpts::new(4, bytes);
+        let sim = SimOpts::new(machine.clone()).with_threads(4).with_partition_bytes(bytes);
+        let armed = e.run_sim(&g, &cfg, &sim);
+        assert!(armed.report.mem.prefetches > 0, "{}: the armed sim issued no hints", e.name());
+        let reference = e.run_native(&g, &cfg, &nat).ranks;
+        let paths = [
+            ("native off", e.run_native(&g, &cfg, &nat.clone().with_prefetch(false)).ranks),
+            ("sim on", armed.ranks),
+            ("sim off", e.run_sim(&g, &cfg, &sim.with_prefetch(false)).ranks),
+        ];
+        for (path, ranks) in paths {
+            assert_eq!(
+                reference,
+                ranks,
+                "{} at {bytes} B: {path} diverged from native on",
+                e.name()
+            );
         }
     }
 }
