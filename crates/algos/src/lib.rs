@@ -19,7 +19,6 @@ pub mod prdelta;
 pub mod spmv;
 pub mod spmv_sim;
 pub mod topk;
-pub mod wspmv;
 
 pub use bfs::{bfs_levels, bfs_partition_centric};
 pub use cc::{label_propagation, wcc_by_propagation, LabelPropagation};
@@ -31,4 +30,3 @@ pub use prdelta::{pagerank_delta, PrDeltaConfig, PrDeltaResult};
 pub use spmv::{spmv_partition_centric, spmv_reference, SpmvWorkspace};
 pub use spmv_sim::{spmv_sim, SpmvSimRun};
 pub use topk::{rank_order, top_k};
-pub use wspmv::{wspmv_partition_centric, wspmv_reference, WeightedPcpm};

@@ -24,8 +24,7 @@
 //!    that is actually defined somewhere in the tree — a cross-file check,
 //!    so stale contracts citing deleted partitioners are caught.
 //!
-//! The *dynamic* half is the `check-disjoint` / `check-hb` features on
-//! `hipa-core`: `SharedSlice` keeps per-element shadow state checked against
+//! The *dynamic* half is the `check-hb` feature on `hipa-core`: `SharedSlice` keeps per-element shadow state checked against
 //! the shim's vector clocks and panics on unordered access (DESIGN.md §15).
 //! Run both locally with:
 //!

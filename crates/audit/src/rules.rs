@@ -95,7 +95,6 @@ pub const BARE_THREAD_ALLOWLIST: &[(&str, &str)] = &[
         "detached service loops (census sampler, epoch scheduler): long-lived background \
          threads that share state through channels and locks only, never a SharedSlice",
     ),
-    ("tests/check_disjoint.rs", "checker negative control (see crates/core/src/disjoint.rs)"),
     ("tests/check_hb.rs", "checker negative control (see crates/core/src/disjoint.rs)"),
     (
         "crates/bench/benches/pool.rs",

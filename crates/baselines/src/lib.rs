@@ -23,13 +23,16 @@
 //!
 //! All five engines (these four plus [`hipa_core::HiPa`]) compute the same
 //! ranks up to f32 rounding order, and each engine's native and simulated
-//! paths are bit-identical.
+//! paths are bit-identical: p-PR and GPOP run the shared partition-centric
+//! kernel, v-PR and Polymer write each region body once and run it through
+//! one region runner (`region.rs`).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod gpop;
 pub mod pcpm_common;
 pub mod polymer;
 pub mod ppr;
+mod region;
 pub mod vpr;
 
 pub use gpop::Gpop;

@@ -16,25 +16,26 @@
 //! charged on the simulated path (`create_pool` per region); the native
 //! path runs all three regions on one persistent rayon pool of `threads`
 //! resident workers, keeping the per-region range decomposition identical.
+//! Each region body and the iteration loop are written once over
+//! `region::Substrate`, so the two paths' ranks are bit-equal by
+//! construction.
 //!
 //! disjointness: edge-balanced decomposition (`edge_balanced_with_prefix`) —
-//! each pull-region thread writes rank only inside its own `pull` vertex
-//! range plus its own slot `j` of the partial arrays; slices are recreated
-//! per region, so each slice lifetime has one writer per element.
+//! each contribute and pull body writes `contrib`/`rank` only inside its own
+//! `pull` vertex range, each replicate body only its own `rep` slice of its
+//! node's mirror; slices are recreated per region.
 
+use crate::region::{self, charge_transpose, iterate, Solved, Substrate, Track};
 use hipa_core::convergence;
 use hipa_core::disjoint::SharedSlice;
-use hipa_core::kernel::{base_value, dangling_mass};
-use hipa_core::prefetch::{prefetch_read, LineFilter, PREFETCH_DISTANCE};
-use hipa_core::{
-    DanglingPolicy, Engine, NativeOpts, NativeRun, PageRankConfig, RunEnd, SimOpts, SimRun,
-};
+use hipa_core::kernel::{dangling_mass, Charge};
+use hipa_core::prefetch::{LineFilter, PREFETCH_DISTANCE};
+use hipa_core::{DanglingPolicy, Engine, NativeOpts, NativeRun, PageRankConfig, SimOpts, SimRun};
 use hipa_graph::DiGraph;
-use hipa_numasim::{PhaseBalance, Placement, SimMachine, ThreadPlacement};
-use hipa_obs::{PoolCounters, Recorder, RUN_LEVEL};
-use hipa_partition::{degree_prefix, edge_balanced_with_prefix};
+use hipa_numasim::{Placement, SimMachine, ThreadPlacement};
+use hipa_obs::Recorder;
+use hipa_partition::edge_balanced_with_prefix;
 use std::ops::Range;
-use std::time::Instant;
 
 /// The Polymer-lite methodology.
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,20 +59,31 @@ impl Engine for Polymer {
     }
 }
 
+/// Polymer's arrays, as indices into its region table (the order it
+/// allocates them in); node `i`'s replica of the contributions is
+/// `MIRROR + i`.
+const RANK: usize = 0;
+const CONTRIB: usize = 1;
+const INV_DEG: usize = 2;
+const DEG: usize = 3;
+const IN_OFFSETS: usize = 4;
+const IN_TARGETS: usize = 5;
+const MIRROR: usize = 6;
+
 /// Work decomposition shared by both paths: `nodes` edge-balanced node
 /// ranges (by in-degree — pull workload), each split into that node's
 /// per-thread ranges, plus per-thread replication slices of the full array.
 struct Decomp {
     node_ranges: Vec<Range<u32>>,
     /// (node, pull-range, replication-range) per global thread.
-    threads: Vec<(usize, Range<u32>, Range<usize>)>,
+    threads: Vec<(usize, Range<usize>, Range<usize>)>,
 }
 
 fn decompose(g: &DiGraph, nodes: usize, threads: usize) -> Decomp {
     let n = g.num_vertices();
-    let in_degs: Vec<u32> = (0..n).map(|v| g.in_degree(v as u32)).collect();
-    let prefix = degree_prefix(&in_degs);
-    let node_ranges = edge_balanced_with_prefix(&prefix, nodes);
+    // The in-CSR offsets are the in-degree prefix sums.
+    let prefix = g.in_csr().offsets_raw();
+    let node_ranges = edge_balanced_with_prefix(prefix, nodes);
     let mut out = Vec::with_capacity(threads);
     for (node, nr) in node_ranges.iter().enumerate() {
         let tpn = threads / nodes + usize::from(node < threads % nodes);
@@ -85,453 +97,193 @@ fn decompose(g: &DiGraph, nodes: usize, threads: usize) -> Decomp {
         // Replication ranges: each of the node's threads copies an equal
         // slice of the FULL contribution array into the node's mirror.
         for (t, s) in sub.iter().enumerate() {
-            let rep_lo = n * t / tpn;
-            let rep_hi = n * (t + 1) / tpn;
-            out.push((node, nr.start + s.start..nr.start + s.end, rep_lo..rep_hi));
+            let pull = (nr.start + s.start) as usize..(nr.start + s.end) as usize;
+            out.push((node, pull, n * t / tpn..n * (t + 1) / tpn));
         }
     }
     Decomp { node_ranges, threads: out }
 }
 
-pub fn run_native(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
-    if let Some(run) = hipa_core::preorder::native(g, cfg, opts, run_native) {
-        return run;
-    }
+/// The run on substrate `s`: its ranks, iterations run and converged flag.
+fn run<S: Substrate>(
+    s: &mut S,
+    g: &DiGraph,
+    cfg: &PageRankConfig,
+    rec: &Recorder,
+    decomp: &Decomp,
+    inv_deg: &[f32],
+    prefetch: bool,
+) -> Solved {
     let n = g.num_vertices();
-    if n == 0 {
-        return NativeRun::empty("Polymer", cfg, opts);
-    }
-    let rec = Recorder::new(opts.trace);
-    let threads = opts.threads.max(1);
-    let do_prefetch = opts.prefetch;
-    let tol = convergence::effective_tolerance(cfg.tolerance);
-    // Residuals feed the stop rule *or* the trace's convergence trajectory.
-    let track = tol.is_some() || rec.enabled();
-    // The host has no NUMA topology; model two virtual nodes as on the
-    // paper's machine (one when single-threaded).
-    let nodes = 2.min(threads);
-
-    let pc = PoolCounters::start(&rec);
-    let t0 = Instant::now();
-    let inv_deg = hipa_core::par::inv_deg_parallel(g, 1);
-    let decomp = decompose(g, nodes, threads);
-    // One persistent pool of `threads` resident workers for all three
-    // per-iteration regions (see the module docs); construction is part of
-    // the setup cost.
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("rayon pool");
-    let preprocess = t0.elapsed();
-
-    let d = cfg.damping;
+    let (in_csr, degs) = (g.in_csr(), g.out_degrees());
+    let redistribute = matches!(cfg.dangling, DanglingPolicy::Redistribute);
+    let track = Track::new(cfg, rec);
     let mut rank = vec![1.0f32 / n as f32; n];
     let mut contrib = vec![0.0f32; n];
-    let mut mirrors: Vec<Vec<f32>> = (0..nodes).map(|_| vec![0.0f32; n]).collect();
-    let mut dangling = dangling_mass(g, cfg, &rank);
-    let degs = g.out_degrees();
-    let in_csr = g.in_csr();
-
-    let t1 = Instant::now();
-    let mut iterations_run = 0usize;
-    let mut converged = false;
-    for it in 0..cfg.iterations {
-        let base = base_value(cfg, n, dangling);
+    let mut mirrors = vec![vec![0.0f32; n]; decomp.node_ranges.len()];
+    let dangling = dangling_mass(g, cfg, &rank);
+    let (iterations_run, converged) = iterate(cfg, n, rec, track, dangling, |it, base| {
         // --- Region 1: contribute (own vertices) ---
-        let contribute_t = rec.start();
         {
-            let rank = &rank;
-            let contrib_s = SharedSlice::new(&mut contrib);
-            pool.scope(|scope| {
-                for (j, (_node, pull, _rep)) in decomp.threads.iter().enumerate() {
-                    let contrib_s = &contrib_s;
-                    let inv_deg = &inv_deg;
-                    let rec = &rec;
-                    let pull = pull.clone();
-                    scope.spawn(move |_| {
-                        let mut spans = rec.thread_spans(j);
-                        let span_t = spans.start();
-                        for v in pull.start as usize..pull.end as usize {
-                            // SAFETY: pull ranges are disjoint.
-                            unsafe { contrib_s.write(v, rank[v] * inv_deg[v]) };
-                        }
-                        spans.end(span_t, "contribute", it);
-                        spans.flush(rec);
-                    });
+            let (rank, contrib) = (&rank, SharedSlice::new(&mut contrib));
+            s.region("contribute", it, |j, c| {
+                let pull = decomp.threads[j].1.clone();
+                if pull.is_empty() {
+                    return;
+                }
+                c.stream_read(RANK, pull.start, pull.len());
+                c.stream_read(INV_DEG, pull.start, pull.len());
+                c.stream_write(CONTRIB, pull.start, pull.len());
+                c.compute(pull.len() as u64);
+                for v in pull {
+                    // SAFETY: pull ranges are disjoint.
+                    unsafe { contrib.write(v, rank[v] * inv_deg[v]) };
                 }
             });
         }
-        rec.end(contribute_t, "contribute", RUN_LEVEL, it as i64);
         // --- Region 2: replicate the contribution array per node ---
-        let replicate_t = rec.start();
         {
             let contrib = &contrib;
-            let mirror_s: Vec<SharedSlice<f32>> =
-                mirrors.iter_mut().map(|mv| SharedSlice::new(mv)).collect();
-            let mirror_s = &mirror_s;
-            pool.scope(|scope| {
-                for (j, (node, _pull, rep)) in decomp.threads.iter().enumerate() {
-                    let node = *node;
-                    let rec = &rec;
-                    let rep = rep.clone();
-                    scope.spawn(move |_| {
-                        let mut spans = rec.thread_spans(j);
-                        let span_t = spans.start();
-                        for v in rep {
-                            // SAFETY: replication slices are disjoint within
-                            // a node's mirror; different nodes use different
-                            // mirrors.
-                            unsafe { mirror_s[node].write(v, contrib[v]) };
-                        }
-                        spans.end(span_t, "replicate", it);
-                        spans.flush(rec);
-                    });
+            let mirrors: Vec<SharedSlice<f32>> =
+                mirrors.iter_mut().map(|m| SharedSlice::new(m)).collect();
+            s.region("replicate", it, |j, c| {
+                let (node, _, ref rep) = decomp.threads[j];
+                if rep.is_empty() {
+                    return;
+                }
+                c.stream_read(CONTRIB, rep.start, rep.len());
+                c.stream_write(MIRROR + node, rep.start, rep.len());
+                c.compute(rep.len() as u64 / 8);
+                for v in rep.clone() {
+                    // SAFETY: replication slices are disjoint within a
+                    // node's mirror; different nodes use different mirrors.
+                    unsafe { mirrors[node].write(v, contrib[v]) };
                 }
             });
         }
-        rec.end(replicate_t, "replicate", RUN_LEVEL, it as i64);
         // --- Region 3: pull from the node-local mirror ---
-        let pull_t = rec.start();
-        let mut partials = vec![0.0f64; decomp.threads.len()];
-        let mut delta_partials = vec![0.0f64; decomp.threads.len()];
-        {
-            let rank_s = SharedSlice::new(&mut rank);
-            let partials_s = SharedSlice::new(&mut partials);
-            let deltas_s = SharedSlice::new(&mut delta_partials);
-            let mirrors = &mirrors;
-            pool.scope(|scope| {
-                for (j, (node, pull, _rep)) in decomp.threads.iter().enumerate() {
-                    let rank_s = &rank_s;
-                    let partials_s = &partials_s;
-                    let deltas_s = &deltas_s;
-                    let mirror = &mirrors[*node];
-                    let rec = &rec;
-                    let pull = pull.clone();
-                    scope.spawn(move |_| {
-                        let mut spans = rec.thread_spans(j);
-                        let span_t = spans.start();
-                        let mut dpart = 0.0f64;
-                        let mut delta = 0.0f64;
-                        // Flat lookahead over the range's contiguous CSR
-                        // target window (power-law lists are mostly shorter
-                        // than PREFETCH_DISTANCE, so per-list hints would
-                        // rarely fire).
-                        let tgts = in_csr.targets_raw();
-                        let ehi = in_csr.offset(pull.end) as usize;
-                        let mut e = in_csr.offset(pull.start) as usize;
-                        let mut pf = LineFilter::new();
-                        for v in pull.start as usize..pull.end as usize {
-                            let mut acc = 0.0f32;
-                            for &u in in_csr.neighbors(v as u32) {
-                                if do_prefetch {
-                                    let ea = e + PREFETCH_DISTANCE;
-                                    if ea < ehi {
-                                        let au = tgts[ea] as usize;
-                                        if pf.admit(au) {
-                                            prefetch_read(mirror, au);
-                                        }
-                                    }
-                                }
-                                e += 1;
-                                acc += mirror[u as usize];
-                            }
-                            let new = base + d * acc;
-                            if track {
-                                // SAFETY: own pull range (pre-write read).
-                                let old = unsafe { rank_s.get(v) };
-                                delta += convergence::l1_term(new, old);
-                            }
-                            // SAFETY: disjoint pull ranges.
-                            unsafe { rank_s.write(v, new) };
-                            if matches!(cfg.dangling, DanglingPolicy::Redistribute) && degs[v] == 0
-                            {
-                                dpart += new as f64;
+        let (mirrors, rank) = (&mirrors, SharedSlice::new(&mut rank));
+        s.region("pull", it, |j, c| {
+            let (node, ref pull, _) = decomp.threads[j];
+            let (lo, hi) = (pull.start, pull.end);
+            if lo == hi {
+                return (0.0, 0.0);
+            }
+            let len = hi - lo;
+            c.stream_read(IN_OFFSETS, lo, len + 1);
+            let elo = in_csr.offset(lo as u32) as usize;
+            let ehi = in_csr.offset(hi as u32) as usize;
+            if ehi > elo {
+                c.stream_read(IN_TARGETS, elo, ehi - elo);
+            }
+            c.stream_write(RANK, lo, len);
+            if track.model {
+                // Delta tracking re-streams the old ranks of the range.
+                c.stream_read(RANK, lo, len);
+            }
+            if redistribute {
+                c.stream_read(DEG, lo, len);
+            }
+            let mirror = &mirrors[node][..];
+            let (mut dpart, mut delta) = (0.0f64, 0.0f64);
+            // Flat lookahead over the range's contiguous CSR target window:
+            // hints the mirror line of the edge PREFETCH_DISTANCE onward
+            // (power-law lists are mostly shorter than PREFETCH_DISTANCE,
+            // so per-list hints would rarely fire).
+            let tgts = &in_csr.targets_raw()[..ehi];
+            let mut e = elo;
+            let mut pf = LineFilter::new();
+            for v in lo..hi {
+                let mut acc = 0.0f32;
+                for &u in in_csr.neighbors(v as u32) {
+                    if prefetch {
+                        if let Some(&au) = tgts.get(e + PREFETCH_DISTANCE) {
+                            if pf.admit(au as usize) {
+                                c.prefetch(MIRROR + node, mirror, au as usize);
                             }
                         }
-                        // SAFETY: slot j of both partial arrays is this
-                        // thread's own.
-                        unsafe {
-                            partials_s.write(j, dpart);
-                            deltas_s.write(j, delta);
-                        }
-                        spans.end(span_t, "pull", it);
-                        spans.flush(rec);
-                    });
+                    }
+                    e += 1;
+                    // One random read per edge, always node-local, plus the
+                    // framework's atomic writeAdd into the accumulator
+                    // (Polymer applies updates with CAS).
+                    c.read(MIRROR + node, u as usize);
+                    c.atomic_rmw(RANK, v);
+                    acc += mirror[u as usize];
                 }
-            });
-        }
-        rec.end(pull_t, "pull", RUN_LEVEL, it as i64);
-        if matches!(cfg.dangling, DanglingPolicy::Redistribute) {
-            dangling = partials.iter().sum();
-        }
-        iterations_run += 1;
-        if track && convergence::check(&rec, it, &delta_partials, None, tol) {
-            converged = true;
-            break;
-        }
-    }
-    let compute = t1.elapsed();
-    let end = RunEnd {
-        engine: "Polymer",
-        g,
-        threads,
-        partitions: None,
-        ranks: rank,
-        iterations_run,
-        converged,
+                let new = base + cfg.damping * acc;
+                // SAFETY: v is in this body's own pull range (the old rank
+                // is read before it is overwritten).
+                unsafe {
+                    if track.host {
+                        delta += convergence::l1_term(new, rank.get(v));
+                    }
+                    rank.write(v, new);
+                }
+                // edgeMap dispatch + dense/sparse checks per edge.
+                c.compute(in_csr.degree(v as u32) as u64 * 28 + 2);
+                if redistribute && degs[v] == 0 {
+                    dpart += new as f64;
+                }
+            }
+            (dpart, delta)
+        })
+    });
+    (rank, iterations_run, converged)
+}
+
+pub fn run_native(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
+    let setup = |threads: usize| {
+        // The host has no NUMA topology; model two virtual nodes as on the
+        // paper's machine (one when single-threaded).
+        let inv_deg = hipa_core::par::inv_deg_parallel(g, 1);
+        (decompose(g, 2.min(threads), threads), inv_deg)
     };
-    NativeRun::finish(end, rec, pc, preprocess, compute)
+    region::native(&Polymer, g, cfg, opts, setup, |s, rec, (decomp, inv_deg)| {
+        run(s, g, cfg, rec, &decomp, &inv_deg, opts.prefetch)
+    })
 }
 
 pub fn run_sim(g: &DiGraph, cfg: &PageRankConfig, opts: &SimOpts) -> SimRun {
-    if let Some(run) = hipa_core::preorder::sim(g, cfg, opts, run_sim) {
-        return run;
-    }
-    let n = g.num_vertices();
-    if n == 0 {
-        return SimRun::empty("Polymer", cfg, opts);
-    }
-    let mut machine = SimMachine::new(opts.machine.clone());
-    let rec = Recorder::new(opts.trace);
-    let topo = machine.spec().topology;
-    let nodes = topo.sockets;
-    let threads = opts.threads.clamp(nodes.min(topo.logical_cpus()), topo.logical_cpus());
-    let do_prefetch = opts.prefetch;
-    let m = g.num_edges();
-    // The simulated path models its own thread lifecycle (`create_pool` per
-    // region); the pool deltas attribute any real shim-pool work it does.
-    let pc = PoolCounters::start(&rec);
-
-    let decomp = decompose(g, nodes, threads);
-    let in_csr = g.in_csr();
-
-    // NUMA-aware placement: vertex arrays blocked by node ranges, each
-    // node's in-edge slice local, one full mirror region per node.
-    let node_v_ends: Vec<u64> = decomp.node_ranges.iter().map(|r| r.end as u64).collect();
-    let blocked4 = |ends: &[u64]| {
-        Placement::Blocked(ends.iter().enumerate().map(|(i, &e)| (e as usize * 4, i)).collect())
+    let (n, m) = (g.num_vertices(), g.num_edges());
+    let nodes = opts.machine.topology.sockets;
+    let setup = |machine: &mut SimMachine, threads| {
+        let decomp = decompose(g, nodes, threads);
+        let in_csr = g.in_csr();
+        // NUMA-aware placement: vertex arrays blocked by node ranges, each
+        // node's in-edge slice local, one full mirror region per node.
+        let blocked = |end_bytes: &dyn Fn(usize, u32) -> usize| {
+            let ends = decomp.node_ranges.iter().enumerate();
+            Placement::Blocked(ends.map(|(i, r)| (end_bytes(i, r.end), i)).collect())
+        };
+        let vertex4 = || blocked(&|_, e| e as usize * 4);
+        // The offsets' extra last entry lives on the last node.
+        let offsets8 = blocked(&|i, e| (e as usize + usize::from(i + 1 == nodes)) * 8);
+        let mut alloc =
+            |name: &str, bytes, placement, w| (machine.alloc(name, bytes, placement), w);
+        let mut regions = vec![
+            alloc("rank", 4 * n, vertex4(), 4),
+            alloc("contrib", 4 * n, vertex4(), 4),
+            alloc("inv_deg", 4 * n, vertex4(), 4),
+            alloc("deg", 4 * n, vertex4(), 4),
+            alloc("in_offsets", 8 * (n + 1), offsets8, 8),
+            alloc("in_targets", 4 * m.max(1), blocked(&|_, e| in_csr.offset(e) as usize * 4), 4),
+        ];
+        for i in 0..nodes {
+            regions.push(alloc(&format!("mirror{i}"), 4 * n, Placement::Node(i), 4));
+        }
+        // Preprocessing: Polymer builds per-node subgraphs — the transpose
+        // plus the placement copy of every array.
+        let id = |a: usize| regions[a].0;
+        let in_csr_r = (id(IN_OFFSETS), id(IN_TARGETS));
+        machine.seq(|ctx| charge_transpose(ctx, in_csr_r, n, m, &[id(INV_DEG), id(RANK)]));
+        // A fresh pool per region, each thread bound to its node.
+        let bind = ThreadPlacement::BindNode(decomp.threads.iter().map(|t| t.0).collect());
+        (regions, bind, (decomp, hipa_core::par::inv_deg_parallel(g, 1)))
     };
-    let rank_r = machine.alloc("rank", 4 * n, blocked4(&node_v_ends));
-    let contrib_r = machine.alloc("contrib", 4 * n, blocked4(&node_v_ends));
-    let invdeg_r = machine.alloc("inv_deg", 4 * n, blocked4(&node_v_ends));
-    let deg_r = machine.alloc("deg", 4 * n, blocked4(&node_v_ends));
-    let in_off_r = machine.alloc(
-        "in_offsets",
-        8 * (n + 1),
-        Placement::Blocked(
-            node_v_ends
-                .iter()
-                .enumerate()
-                .map(|(i, &e)| {
-                    let e = if i + 1 == nodes { e + 1 } else { e };
-                    (e as usize * 8, i)
-                })
-                .collect(),
-        ),
-    );
-    let in_tgt_r = machine.alloc(
-        "in_targets",
-        4 * m.max(1),
-        Placement::Blocked(
-            node_v_ends
-                .iter()
-                .enumerate()
-                .map(|(i, &e)| (in_csr.offset(e as u32) as usize * 4, i))
-                .collect(),
-        ),
-    );
-    let mirror_rs: Vec<_> = (0..nodes)
-        .map(|i| machine.alloc(&format!("mirror{i}"), 4 * n, Placement::Node(i)))
-        .collect();
-
-    // Preprocessing: Polymer builds per-node subgraphs — one full CSR pass
-    // plus the placement copy of every array.
-    machine.seq(|ctx| {
-        ctx.stream_read(in_off_r, 0, 8 * (n + 1));
-        if m > 0 {
-            ctx.stream_read(in_tgt_r, 0, 4 * m);
-            ctx.stream_write(in_tgt_r, 0, 4 * m);
-        }
-        ctx.stream_write(in_off_r, 0, 8 * (n + 1));
-        ctx.stream_write(invdeg_r, 0, 4 * n);
-        ctx.stream_write(rank_r, 0, 4 * n);
-        ctx.compute(2 * (n + m) as u64);
-    });
-    let preprocess_cycles = machine.cycles();
-    rec.record("preprocess", RUN_LEVEL, RUN_LEVEL, preprocess_cycles);
-
-    let inv_deg = hipa_core::par::inv_deg_parallel(g, 1);
-    let d = cfg.damping;
-    let mut rank = vec![1.0f32 / n as f32; n];
-    let mut contrib = vec![0.0f32; n];
-    let mut mirrors: Vec<Vec<f32>> = (0..nodes).map(|_| vec![0.0f32; n]).collect();
-    let mut dangling = dangling_mass(g, cfg, &rank);
-    let degs = g.out_degrees();
-    let bind: Vec<usize> = decomp.threads.iter().map(|(node, _, _)| *node).collect();
-    let tol = convergence::effective_tolerance(cfg.tolerance);
-    // `track_model` (the tolerance check) governs the *charged* rank-vector
-    // traffic; `track_host` additionally computes host-side deltas for the
-    // trace's convergence trajectory. Cycles and counters are identical
-    // with tracing on or off.
-    let track_model = tol.is_some();
-    let track_host = track_model || rec.enabled();
-    let mut iterations_run = 0usize;
-    let mut converged = false;
-
-    for it in 0..cfg.iterations {
-        let base = base_value(cfg, n, dangling);
-
-        // --- Region 1: contribute ---
-        let pool = machine.create_pool(bind.len(), &ThreadPlacement::BindNode(bind.clone()));
-        let contribute_c0 = machine.cycles();
-        {
-            let rank = &rank;
-            let contrib = &mut contrib;
-            let decomp = &decomp;
-            let inv_deg = &inv_deg;
-            machine.phase_balanced(pool, PhaseBalance::Dynamic, |j, ctx| {
-                let (_, pull, _) = &decomp.threads[j];
-                let (lo, hi) = (pull.start as usize, pull.end as usize);
-                if lo == hi {
-                    return;
-                }
-                ctx.stream_read(rank_r, 4 * lo, 4 * (hi - lo));
-                ctx.stream_read(invdeg_r, 4 * lo, 4 * (hi - lo));
-                ctx.stream_write(contrib_r, 4 * lo, 4 * (hi - lo));
-                for v in lo..hi {
-                    contrib[v] = rank[v] * inv_deg[v];
-                }
-                ctx.compute((hi - lo) as u64);
-                if rec.enabled() {
-                    rec.record("contribute", j as i64, it as i64, ctx.thread_cycles());
-                }
-            });
-        }
-        rec.record("contribute", RUN_LEVEL, it as i64, machine.cycles() - contribute_c0);
-
-        // --- Region 2: replicate per node ---
-        let pool = machine.create_pool(bind.len(), &ThreadPlacement::BindNode(bind.clone()));
-        let replicate_c0 = machine.cycles();
-        {
-            let contrib = &contrib;
-            let mirrors = &mut mirrors;
-            let decomp = &decomp;
-            let mirror_rs = &mirror_rs;
-            machine.phase_balanced(pool, PhaseBalance::Dynamic, |j, ctx| {
-                let (node, _, rep) = &decomp.threads[j];
-                let (lo, hi) = (rep.start, rep.end);
-                if lo == hi {
-                    return;
-                }
-                ctx.stream_read(contrib_r, 4 * lo, 4 * (hi - lo));
-                ctx.stream_write(mirror_rs[*node], 4 * lo, 4 * (hi - lo));
-                mirrors[*node][lo..hi].copy_from_slice(&contrib[lo..hi]);
-                ctx.compute((hi - lo) as u64 / 8);
-                if rec.enabled() {
-                    rec.record("replicate", j as i64, it as i64, ctx.thread_cycles());
-                }
-            });
-        }
-        rec.record("replicate", RUN_LEVEL, it as i64, machine.cycles() - replicate_c0);
-
-        // --- Region 3: pull from the local mirror ---
-        let mut partials = vec![0.0f64; bind.len()];
-        let mut delta_partials = vec![0.0f64; bind.len()];
-        let pool = machine.create_pool(bind.len(), &ThreadPlacement::BindNode(bind.clone()));
-        let pull_c0 = machine.cycles();
-        {
-            let rank = &mut rank;
-            let mirrors = &mirrors;
-            let decomp = &decomp;
-            let partials = &mut partials;
-            let delta_partials = &mut delta_partials;
-            machine.phase_balanced(pool, PhaseBalance::Dynamic, |j, ctx| {
-                let (node, pull, _) = &decomp.threads[j];
-                let (lo, hi) = (pull.start as usize, pull.end as usize);
-                if lo == hi {
-                    partials[j] = 0.0;
-                    return;
-                }
-                let len = hi - lo;
-                ctx.stream_read(in_off_r, 8 * lo, 8 * (len + 1));
-                let elo = in_csr.offset(lo as u32) as usize;
-                let ehi = in_csr.offset(hi as u32) as usize;
-                if ehi > elo {
-                    ctx.stream_read(in_tgt_r, 4 * elo, 4 * (ehi - elo));
-                }
-                ctx.stream_write(rank_r, 4 * lo, 4 * len);
-                if track_model {
-                    // Delta tracking re-streams the old ranks of the range.
-                    ctx.stream_read(rank_r, 4 * lo, 4 * len);
-                }
-                if matches!(cfg.dangling, DanglingPolicy::Redistribute) {
-                    ctx.stream_read(deg_r, 4 * lo, 4 * len);
-                }
-                let mirror = &mirrors[*node];
-                let mr = mirror_rs[*node];
-                let mut dpart = 0.0f64;
-                let mut delta = 0.0f64;
-                // Flat lookahead over the contiguous target window: hints
-                // the mirror line of the edge PREFETCH_DISTANCE onward.
-                let tgts = in_csr.targets_raw();
-                let mut e = elo;
-                let mut pf = LineFilter::new();
-                for v in lo..hi {
-                    let mut acc = 0.0f32;
-                    for &u in in_csr.neighbors(v as u32) {
-                        if do_prefetch {
-                            let ea = e + PREFETCH_DISTANCE;
-                            if ea < ehi {
-                                let au = tgts[ea] as usize;
-                                if pf.admit(au) {
-                                    ctx.prefetch(mr, 4 * au, 4);
-                                }
-                            }
-                        }
-                        e += 1;
-                        // One random read per edge, always node-local, plus
-                        // the framework's atomic writeAdd into the
-                        // accumulator (Polymer applies updates with CAS).
-                        ctx.read(mr, 4 * u as usize, 4);
-                        ctx.atomic_rmw(rank_r, 4 * v, 4);
-                        acc += mirror[u as usize];
-                    }
-                    let new = base + d * acc;
-                    if track_host {
-                        delta += convergence::l1_term(new, rank[v]);
-                    }
-                    rank[v] = new;
-                    // edgeMap dispatch + dense/sparse checks per edge.
-                    ctx.compute(in_csr.degree(v as u32) as u64 * 28 + 2);
-                    if matches!(cfg.dangling, DanglingPolicy::Redistribute) && degs[v] == 0 {
-                        dpart += new as f64;
-                    }
-                }
-                partials[j] = dpart;
-                delta_partials[j] = delta;
-                if rec.enabled() {
-                    rec.record("pull", j as i64, it as i64, ctx.thread_cycles());
-                }
-            });
-        }
-        rec.record("pull", RUN_LEVEL, it as i64, machine.cycles() - pull_c0);
-        if matches!(cfg.dangling, DanglingPolicy::Redistribute) {
-            dangling = partials.iter().sum();
-        }
-        iterations_run += 1;
-        if track_host && convergence::check(&rec, it, &delta_partials, None, tol) {
-            converged = true;
-            break;
-        }
-    }
-
-    let end = RunEnd {
-        engine: "Polymer",
-        g,
-        threads,
-        partitions: None,
-        ranks: rank,
-        iterations_run,
-        converged,
-    };
-    SimRun::finish(end, rec, pc, &machine, preprocess_cycles)
+    region::sim(&Polymer, g, cfg, opts, nodes, setup, |s, rec, (decomp, inv_deg)| {
+        run(s, g, cfg, rec, &decomp, &inv_deg, opts.prefetch)
+    })
 }
 
 #[cfg(test)]

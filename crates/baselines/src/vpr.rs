@@ -8,29 +8,30 @@
 //! parallel region per iteration; new-vs-old rank vectors are double
 //! buffered. NUMA-oblivious: interleaved pages, OS-random thread placement,
 //! threads recreated every region (Algorithm 1 — charged on the simulated
-//! path via `create_pool` per iteration). The native path uses a rayon
-//! thread pool — the idiomatic Rust data-parallel runtime, whose workers
-//! are persistent — with one pre-computed edge-balanced range per worker;
-//! its `num_threads(threads)` genuinely bounds the run's concurrency now
-//! that the shim backs pools with resident workers.
+//! path via `create_pool` per iteration). The native path runs the regions
+//! on a rayon pool of exactly `threads` resident workers, with one
+//! pre-computed edge-balanced range per worker.
 //!
-//! disjointness: edge-balanced plan (`edge_balanced`) — each worker writes
-//! `next` only inside its own vertex range plus its own slot `j` of the
-//! partial arrays; slices are recreated per iteration region.
+//! The pull body and the iteration loop are written once over
+//! `region::Substrate`: the native path compiles every charge
+//! away, the simulated one prices it, so the two paths' ranks are bit-equal
+//! by construction.
+//!
+//! disjointness: edge-balanced plan (`edge_balanced_with_prefix`) — each
+//! pull body writes `next` only inside its own vertex range; slices are
+//! recreated per iteration region.
 
+use crate::region::{self, charge_transpose, iterate, Solved, Substrate, Track};
 use hipa_core::convergence;
 use hipa_core::disjoint::SharedSlice;
-use hipa_core::kernel::{base_value, dangling_mass};
-use hipa_core::prefetch::{prefetch_read, LineFilter, PREFETCH_DISTANCE};
-use hipa_core::{
-    DanglingPolicy, Engine, NativeOpts, NativeRun, PageRankConfig, RunEnd, SimOpts, SimRun,
-};
+use hipa_core::kernel::{dangling_mass, Charge};
+use hipa_core::prefetch::{LineFilter, PREFETCH_DISTANCE};
+use hipa_core::{DanglingPolicy, Engine, NativeOpts, NativeRun, PageRankConfig, SimOpts, SimRun};
 use hipa_graph::DiGraph;
-use hipa_numasim::{PhaseBalance, Placement, SimMachine, ThreadPlacement};
-use hipa_obs::{PoolCounters, Recorder, RUN_LEVEL};
-use hipa_partition::edge_balanced;
+use hipa_numasim::{Placement, SimMachine, ThreadPlacement};
+use hipa_obs::Recorder;
+use hipa_partition::edge_balanced_with_prefix;
 use std::ops::Range;
-use std::time::Instant;
 
 /// The v-PR methodology.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,252 +55,71 @@ impl Engine for Vpr {
     }
 }
 
-/// In-degree array (pull workload is proportional to in-edges).
-fn in_degrees(g: &DiGraph) -> Vec<u32> {
-    (0..g.num_vertices()).map(|v| g.in_degree(v as u32)).collect()
-}
+/// v-PR's arrays, as indices into its region table (the order it
+/// allocates them in): rank buffers `RANK` and `RANK + 1`, then the
+/// out-degrees and the in-CSR.
+const RANK: usize = 0;
+const DEG: usize = 2;
+const IN_OFFSETS: usize = 3;
+const IN_TARGETS: usize = 4;
 
-pub fn run_native(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
-    if let Some(run) = hipa_core::preorder::native(g, cfg, opts, run_native) {
-        return run;
-    }
+/// The run on substrate `s`: its ranks, iterations run and converged flag.
+fn run<S: Substrate>(
+    s: &mut S,
+    g: &DiGraph,
+    cfg: &PageRankConfig,
+    rec: &Recorder,
+    ranges: &[Range<u32>],
+    prefetch: bool,
+) -> Solved {
     let n = g.num_vertices();
-    if n == 0 {
-        return NativeRun::empty("v-PR", cfg, opts);
-    }
-    let rec = Recorder::new(opts.trace);
-    let threads = opts.threads.max(1);
-    let do_prefetch = opts.prefetch;
-    let tol = convergence::effective_tolerance(cfg.tolerance);
-    // Residuals feed the stop rule *or* the trace's convergence trajectory.
-    let track = tol.is_some() || rec.enabled();
-
-    // Pool construction is part of the engine's setup cost — inside the
-    // preprocess window, like the layout builds of the PCPM engines. The
-    // `threads` knob bounds the run's concurrency: the pool has exactly
-    // `threads` resident workers and every spawn below lands on them.
-    let pc = PoolCounters::start(&rec);
-    let t0 = Instant::now();
-    let ranges = edge_balanced(&in_degrees(g), threads);
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("rayon pool");
-    let preprocess = t0.elapsed();
-
-    let d = cfg.damping;
+    let (in_csr, degs) = (g.in_csr(), g.out_degrees());
+    let redistribute = matches!(cfg.dangling, DanglingPolicy::Redistribute);
+    let track = Track::new(cfg, rec);
     let mut cur = vec![1.0f32 / n as f32; n];
     let mut next = vec![0.0f32; n];
-    let mut dangling = dangling_mass(g, cfg, &cur);
-    let degs = g.out_degrees();
-    let in_csr = g.in_csr();
-
-    let t1 = Instant::now();
-    let mut iterations_run = 0usize;
-    let mut converged = false;
-    for it in 0..cfg.iterations {
-        let base = base_value(cfg, n, dangling);
-        let pull_t = rec.start();
-        let mut partials = vec![0.0f64; threads];
-        let mut delta_partials = vec![0.0f64; threads];
-        {
-            let cur = &cur;
-            let next_s = SharedSlice::new(&mut next);
-            let partials_s = SharedSlice::new(&mut partials);
-            let deltas_s = SharedSlice::new(&mut delta_partials);
-            // One parallel region per iteration (Algorithm 1): the rayon
-            // scope fans the pre-balanced ranges out across the pool.
-            pool.scope(|scope| {
-                for (j, r) in ranges.iter().enumerate() {
-                    let next_s = &next_s;
-                    let partials_s = &partials_s;
-                    let deltas_s = &deltas_s;
-                    let rec = &rec;
-                    let r = r.clone();
-                    scope.spawn(move |_| {
-                        let mut spans = rec.thread_spans(j);
-                        let span_t = spans.start();
-                        let mut dpart = 0.0f64;
-                        let mut delta = 0.0f64;
-                        // Flat lookahead over the range's contiguous CSR
-                        // target window: per-list lookahead would rarely
-                        // fire on power-law degrees (< PREFETCH_DISTANCE).
-                        let tgts = in_csr.targets_raw();
-                        let ehi = in_csr.offset(r.end) as usize;
-                        let mut e = in_csr.offset(r.start) as usize;
-                        let mut pf = LineFilter::new();
-                        for v in r.start as usize..r.end as usize {
-                            let mut acc = 0.0f32;
-                            for &u in in_csr.neighbors(v as u32) {
-                                if do_prefetch {
-                                    let ea = e + PREFETCH_DISTANCE;
-                                    if ea < ehi {
-                                        let au = tgts[ea] as usize;
-                                        if pf.admit(au) {
-                                            prefetch_read(cur, au);
-                                            prefetch_read(degs, au);
-                                        }
-                                    }
-                                }
-                                e += 1;
-                                // No stored contributions: divide per edge
-                                // ("without storing the partial sum", §4.1).
-                                acc += cur[u as usize] / degs[u as usize] as f32;
-                            }
-                            let new = base + d * acc;
-                            if track {
-                                delta += convergence::l1_term(new, cur[v]);
-                            }
-                            // SAFETY: vertex ranges are disjoint per thread.
-                            unsafe { next_s.write(v, new) };
-                            if matches!(cfg.dangling, DanglingPolicy::Redistribute) && degs[v] == 0
-                            {
-                                dpart += new as f64;
-                            }
-                        }
-                        // SAFETY: slot j of both partial arrays is this
-                        // thread's own.
-                        unsafe {
-                            partials_s.write(j, dpart);
-                            deltas_s.write(j, delta);
-                        }
-                        spans.end(span_t, "pull", it);
-                        spans.flush(rec);
-                    });
-                }
-            });
-        }
-        rec.end(pull_t, "pull", RUN_LEVEL, it as i64);
-        if matches!(cfg.dangling, DanglingPolicy::Redistribute) {
-            dangling = partials.iter().sum();
-        }
-        std::mem::swap(&mut cur, &mut next);
-        iterations_run += 1;
-        if track && convergence::check(&rec, it, &delta_partials, None, tol) {
-            converged = true;
-            break;
-        }
-    }
-    let compute = t1.elapsed();
-    let end = RunEnd {
-        engine: "v-PR",
-        g,
-        threads,
-        partitions: None,
-        ranks: cur,
-        iterations_run,
-        converged,
-    };
-    NativeRun::finish(end, rec, pc, preprocess, compute)
-}
-
-pub fn run_sim(g: &DiGraph, cfg: &PageRankConfig, opts: &SimOpts) -> SimRun {
-    if let Some(run) = hipa_core::preorder::sim(g, cfg, opts, run_sim) {
-        return run;
-    }
-    let n = g.num_vertices();
-    if n == 0 {
-        return SimRun::empty("v-PR", cfg, opts);
-    }
-    let mut machine = SimMachine::new(opts.machine.clone());
-    let rec = Recorder::new(opts.trace);
-    let threads = opts.threads.clamp(1, machine.spec().topology.logical_cpus());
-    let do_prefetch = opts.prefetch;
-    let m = g.num_edges();
-    // The simulated path models its own thread lifecycle (`create_pool` per
-    // region); the pool deltas attribute any real shim-pool work it does.
-    let pc = PoolCounters::start(&rec);
-
-    // NUMA-oblivious placement: everything interleaved.
-    let rank_a = machine.alloc("rank_a", 4 * n, Placement::Interleaved);
-    let rank_b = machine.alloc("rank_b", 4 * n, Placement::Interleaved);
-    let deg_r = machine.alloc("deg", 4 * n, Placement::Interleaved);
-    let in_off_r = machine.alloc("in_offsets", 8 * (n + 1), Placement::Interleaved);
-    let in_tgt_r = machine.alloc("in_targets", 4 * m.max(1), Placement::Interleaved);
-
-    // Preprocessing: build the transpose (one CSR pass + one write pass) and
-    // the inverse-degree array.
-    machine.seq(|ctx| {
-        ctx.stream_read(in_off_r, 0, 8 * (n + 1));
-        if m > 0 {
-            ctx.stream_read(in_tgt_r, 0, 4 * m);
-            ctx.stream_write(in_tgt_r, 0, 4 * m);
-        }
-        ctx.stream_write(in_off_r, 0, 8 * (n + 1));
-        ctx.compute(2 * (n + m) as u64);
-    });
-    let preprocess_cycles = machine.cycles();
-    rec.record("preprocess", RUN_LEVEL, RUN_LEVEL, preprocess_cycles);
-
-    let ranges = edge_balanced(&in_degrees(g), threads);
-    let d = cfg.damping;
-    let mut cur = vec![1.0f32 / n as f32; n];
-    let mut next = vec![0.0f32; n];
-    let mut dangling = dangling_mass(g, cfg, &cur);
-    let degs = g.out_degrees();
-    let in_csr = g.in_csr();
-    let (mut cur_r, mut next_r) = (rank_a, rank_b);
-    let tol = convergence::effective_tolerance(cfg.tolerance);
-    // `track_model` (the tolerance check) governs the *charged* rank-vector
-    // traffic; `track_host` additionally computes host-side deltas for the
-    // trace's convergence trajectory. Cycles and counters are identical
-    // with tracing on or off.
-    let track_model = tol.is_some();
-    let track_host = track_model || rec.enabled();
-    let mut iterations_run = 0usize;
-    let mut converged = false;
-
-    for it in 0..cfg.iterations {
-        let base = base_value(cfg, n, dangling);
-        let mut partials = vec![0.0f64; threads];
-        let mut delta_partials = vec![0.0f64; threads];
-        // New parallel region (fresh pool, OS-random placement) per
-        // iteration — the Algorithm-1 thread-lifecycle model.
-        let pool = machine.create_pool(threads, &ThreadPlacement::OsRandom);
-        let pull_c0 = machine.cycles();
-        {
-            let cur = &cur;
-            let next = &mut next;
-            let partials = &mut partials;
-            let delta_partials = &mut delta_partials;
-            let ranges: &[Range<u32>] = &ranges;
-            machine.phase_balanced(pool, PhaseBalance::Dynamic, |j, ctx| {
-                let r = ranges[j].clone();
-                let (lo, hi) = (r.start as usize, r.end as usize);
+    let dangling = dangling_mass(g, cfg, &cur);
+    let (iterations_run, converged) = iterate(cfg, n, rec, track, dangling, |it, base| {
+        // This iteration reads rank buffer `b` and writes the other.
+        let b = it % 2;
+        let parts = {
+            let (cur, next) = (&cur[..], SharedSlice::new(&mut next));
+            s.region("pull", it, |j, c| {
+                let (lo, hi) = (ranges[j].start as usize, ranges[j].end as usize);
                 if lo == hi {
-                    partials[j] = 0.0;
-                    return;
+                    return (0.0, 0.0);
                 }
                 let len = hi - lo;
-                ctx.stream_read(in_off_r, 8 * lo, 8 * (len + 1));
+                c.stream_read(IN_OFFSETS, lo, len + 1);
                 let elo = in_csr.offset(lo as u32) as usize;
                 let ehi = in_csr.offset(hi as u32) as usize;
                 if ehi > elo {
-                    ctx.stream_read(in_tgt_r, 4 * elo, 4 * (ehi - elo));
+                    c.stream_read(IN_TARGETS, elo, ehi - elo);
                 }
-                ctx.stream_write(next_r, 4 * lo, 4 * len);
-                if track_model {
+                c.stream_write(RANK + 1 - b, lo, len);
+                if track.model {
                     // Delta tracking re-streams the old ranks of the range.
-                    ctx.stream_read(cur_r, 4 * lo, 4 * len);
+                    c.stream_read(RANK + b, lo, len);
                 }
-                if matches!(cfg.dangling, DanglingPolicy::Redistribute) {
-                    ctx.stream_read(deg_r, 4 * lo, 4 * len);
+                if redistribute {
+                    c.stream_read(DEG, lo, len);
                 }
-                let mut dpart = 0.0f64;
-                let mut delta = 0.0f64;
-                // Flat lookahead over the contiguous target window (see the
-                // native kernel): hints the rank/degree lines of the edge
-                // PREFETCH_DISTANCE positions onward.
-                let tgts = in_csr.targets_raw();
+                let (mut dpart, mut delta) = (0.0f64, 0.0f64);
+                // Flat lookahead over the range's contiguous CSR target
+                // window: hints the rank/degree lines of the edge
+                // PREFETCH_DISTANCE positions onward (per-list lookahead
+                // would rarely fire on power-law degrees).
+                let tgts = &in_csr.targets_raw()[..ehi];
                 let mut e = elo;
                 let mut pf = LineFilter::new();
                 for v in lo..hi {
                     let mut acc = 0.0f32;
                     for &u in in_csr.neighbors(v as u32) {
-                        if do_prefetch {
-                            let ea = e + PREFETCH_DISTANCE;
-                            if ea < ehi {
-                                let au = tgts[ea] as usize;
-                                if pf.admit(au) {
-                                    ctx.prefetch(cur_r, 4 * au, 4);
-                                    ctx.prefetch(deg_r, 4 * au, 4);
+                        if prefetch {
+                            if let Some(&au) = tgts.get(e + PREFETCH_DISTANCE) {
+                                if pf.admit(au as usize) {
+                                    c.prefetch(RANK + b, cur, au as usize);
+                                    c.prefetch(DEG, degs, au as usize);
                                 }
                             }
                         }
@@ -308,50 +128,62 @@ pub fn run_sim(g: &DiGraph, cfg: &PageRankConfig, opts: &SimOpts) -> SimRun {
                         // per in-edge plus a division — no stored
                         // contribution array ("without storing the partial
                         // sum", §4.1).
-                        ctx.read(cur_r, 4 * u as usize, 4);
-                        ctx.read(deg_r, 4 * u as usize, 4);
+                        c.read(RANK + b, u as usize);
+                        c.read(DEG, u as usize);
                         acc += cur[u as usize] / degs[u as usize] as f32;
                     }
-                    let new = base + d * acc;
-                    if track_host {
+                    let new = base + cfg.damping * acc;
+                    if track.host {
                         delta += convergence::l1_term(new, cur[v]);
                     }
-                    next[v] = new;
-                    ctx.compute(12 * in_csr.degree(v as u32) as u64 + 2);
-                    if matches!(cfg.dangling, DanglingPolicy::Redistribute) && degs[v] == 0 {
+                    // SAFETY: vertex ranges are disjoint per thread.
+                    unsafe { next.write(v, new) };
+                    c.compute(12 * in_csr.degree(v as u32) as u64 + 2);
+                    if redistribute && degs[v] == 0 {
                         dpart += new as f64;
                     }
                 }
-                partials[j] = dpart;
-                delta_partials[j] = delta;
-                if rec.enabled() {
-                    rec.record("pull", j as i64, it as i64, ctx.thread_cycles());
-                }
-            });
-        }
-        rec.record("pull", RUN_LEVEL, it as i64, machine.cycles() - pull_c0);
-        if matches!(cfg.dangling, DanglingPolicy::Redistribute) {
-            dangling = partials.iter().sum();
-        }
+                (dpart, delta)
+            })
+        };
         std::mem::swap(&mut cur, &mut next);
-        std::mem::swap(&mut cur_r, &mut next_r);
-        iterations_run += 1;
-        if track_host && convergence::check(&rec, it, &delta_partials, None, tol) {
-            converged = true;
-            break;
-        }
-    }
+        parts
+    });
+    (cur, iterations_run, converged)
+}
 
-    let end = RunEnd {
-        engine: "v-PR",
-        g,
-        threads,
-        partitions: None,
-        ranks: cur,
-        iterations_run,
-        converged,
+pub fn run_native(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
+    // Ranges balanced by in-edges, the pull workload: the in-CSR offsets are
+    // the in-degree prefix sums.
+    let setup = |threads| edge_balanced_with_prefix(g.in_csr().offsets_raw(), threads);
+    region::native(&Vpr, g, cfg, opts, setup, |s, rec, ranges| {
+        run(s, g, cfg, rec, &ranges, opts.prefetch)
+    })
+}
+
+pub fn run_sim(g: &DiGraph, cfg: &PageRankConfig, opts: &SimOpts) -> SimRun {
+    let (n, m) = (g.num_vertices(), g.num_edges());
+    let setup = |machine: &mut SimMachine, threads| {
+        // NUMA-oblivious placement: everything interleaved.
+        let mut il = |name, bytes, w| (machine.alloc(name, bytes, Placement::Interleaved), w);
+        let regions = vec![
+            il("rank_a", 4 * n, 4),
+            il("rank_b", 4 * n, 4),
+            il("deg", 4 * n, 4),
+            il("in_offsets", 8 * (n + 1), 8),
+            il("in_targets", 4 * m.max(1), 4),
+        ];
+        // Preprocessing: build the transpose and the inverse-degree array.
+        let in_csr_r = (regions[IN_OFFSETS].0, regions[IN_TARGETS].0);
+        machine.seq(|ctx| charge_transpose(ctx, in_csr_r, n, m, &[]));
+        // A fresh pool with OS-random placement per iteration: the
+        // Algorithm-1 thread-lifecycle model.
+        let ranges = edge_balanced_with_prefix(g.in_csr().offsets_raw(), threads);
+        (regions, ThreadPlacement::OsRandom, ranges)
     };
-    SimRun::finish(end, rec, pc, &machine, preprocess_cycles)
+    region::sim(&Vpr, g, cfg, opts, 1, setup, |s, rec, ranges| {
+        run(s, g, cfg, rec, &ranges, opts.prefetch)
+    })
 }
 
 #[cfg(test)]

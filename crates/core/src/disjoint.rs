@@ -18,39 +18,39 @@
 //!   every `unsafe` site a `SAFETY:` comment — and bare `std::thread`
 //!   parallelism is banned outside the instrumented pool, so no thread
 //!   escapes the checker below;
-//! * **dynamically** by the `check-disjoint` / `check-hb` cargo features:
-//!   every element carries shadow state ([`crate::hb::shadow`]) checked
-//!   against FastTrack-style vector clocks that the rayon shim threads
-//!   through every pool synchronization edge (scope spawn/join, barriers,
-//!   claim cursors — `rayon::hb`). Two *unordered* writes to one element
-//!   panic with both thread tags, the index, and the unordered clocks under
-//!   either feature; `check-hb` additionally tracks reads (an adaptive
-//!   epoch that promotes to a read vector clock under concurrent readers)
-//!   and catches read-write and write-read races the write-only subset
-//!   cannot see. Writes *ordered* by a modeled edge — e.g. two scopes
-//!   separated by a join — are not flagged: the checker verifies the
-//!   synchronization discipline, not a per-lifetime single-writer rule.
+//! * **dynamically** by the `check-hb` cargo feature: every element
+//!   carries shadow state ([`crate::hb::shadow`]) checked against
+//!   FastTrack-style vector clocks that the rayon shim threads through every
+//!   pool synchronization edge (scope spawn/join, barriers, claim cursors —
+//!   `rayon::hb`). Two *unordered* accesses to one element, at least one a
+//!   write, panic with both thread tags, the index, and the unordered
+//!   clocks; reads are tracked as an adaptive epoch that promotes to a read
+//!   vector clock under concurrent readers. Writes *ordered* by a modeled
+//!   edge — e.g. two scopes separated by a join — are not flagged: the
+//!   checker verifies the synchronization discipline, not a per-lifetime
+//!   single-writer rule.
 //!
 //! The shadow tables are pooled and generation-stamped (the `WriterTags`
 //! predecessor zeroed an `O(len)` table on every construction; serve and
 //! SpMV build fresh slices per phase, so construction is now O(1) amortised
 //! — see `crate::hb` for the cost model). Debug builds additionally verify
-//! bounds on every access. With the features off, the shadow machinery does
+//! bounds on every access. With the feature off, the shadow machinery does
 //! not exist: accesses compile to a single raw-pointer read/write, and
 //! ranks are bitwise identical either way (the shadow state never feeds the
 //! arithmetic).
 
+use crate::prefetch::Prefetch;
 use std::cell::UnsafeCell;
 
 /// A slice whose elements may be written concurrently by multiple threads,
 /// provided no element is accessed by two threads without synchronisation.
 pub struct SharedSlice<'a, T> {
     data: &'a [UnsafeCell<T>],
-    #[cfg(feature = "check-disjoint")]
+    #[cfg(feature = "check-hb")]
     shadow: crate::hb::shadow::ShadowTable,
 }
 
-#[cfg(feature = "check-disjoint")]
+#[cfg(feature = "check-hb")]
 impl<T> Drop for SharedSlice<'_, T> {
     fn drop(&mut self) {
         crate::hb::shadow::ShadowTable::release(std::mem::take(&mut self.shadow));
@@ -70,7 +70,7 @@ unsafe impl<T: Send + Sync> Send for SharedSlice<'_, T> {}
 impl<'a, T> SharedSlice<'a, T> {
     /// Wraps a uniquely borrowed slice.
     pub fn new(slice: &'a mut [T]) -> Self {
-        #[cfg(feature = "check-disjoint")]
+        #[cfg(feature = "check-hb")]
         let shadow = crate::hb::shadow::ShadowTable::acquire(slice.len());
         // SAFETY: `&mut [T]` guarantees unique access; `UnsafeCell<T>` has
         // the same layout as `T`, so the cast is valid. All further aliasing
@@ -78,7 +78,7 @@ impl<'a, T> SharedSlice<'a, T> {
         let data = unsafe { &*(slice as *mut [T] as *const [UnsafeCell<T>]) };
         SharedSlice {
             data,
-            #[cfg(feature = "check-disjoint")]
+            #[cfg(feature = "check-hb")]
             shadow,
         }
     }
@@ -101,7 +101,7 @@ impl<'a, T> SharedSlice<'a, T> {
     #[inline]
     pub unsafe fn write(&self, i: usize, value: T) {
         debug_assert!(i < self.data.len());
-        #[cfg(feature = "check-disjoint")]
+        #[cfg(feature = "check-hb")]
         self.shadow.on_write(i);
         // SAFETY: caller upholds exclusive access to element `i`; the index
         // is bounds-checked above in debug builds.
@@ -111,11 +111,10 @@ impl<'a, T> SharedSlice<'a, T> {
     /// Reads element `i`.
     ///
     /// # Safety
-    /// No other thread may write element `i` concurrently. (`check-disjoint`
-    /// validates writes only: a pure read-write race is outside the
-    /// write-epoch subset's scope. `check-hb` tracks reads too and catches
-    /// it from either side — the read panics if it races a recorded write,
-    /// or the later write panics against the recorded read.)
+    /// No other thread may write element `i` concurrently. (`check-hb`
+    /// catches a read-write race from either side: the read panics if it
+    /// races a recorded write, or the later write panics against the
+    /// recorded read.)
     #[inline]
     pub unsafe fn get(&self, i: usize) -> T
     where
@@ -128,30 +127,6 @@ impl<'a, T> SharedSlice<'a, T> {
         unsafe { *self.data[i].get() }
     }
 
-    /// Hints that element `i` will be accessed soon (the `SharedSlice`
-    /// counterpart of [`crate::prefetch::prefetch_read`]). A prefetch hint
-    /// performs no memory access and has no architectural effect, so this
-    /// is *safe* under any concurrent writes and never touches the
-    /// `check-disjoint` tag table. Out-of-range `i` is ignored; compiles to
-    /// nothing without the `prefetch` feature or off x86_64.
-    #[inline(always)]
-    pub fn prefetch(&self, i: usize) {
-        #[cfg(all(feature = "prefetch", target_arch = "x86_64"))]
-        if i < self.data.len() {
-            // SAFETY: `i` is in-bounds so the pointer is valid to form;
-            // `_mm_prefetch` is a hint that performs no access, so no
-            // aliasing or race obligations arise.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch(
-                    self.data[i].get() as *const i8,
-                    core::arch::x86_64::_MM_HINT_T0,
-                );
-            }
-        }
-        #[cfg(not(all(feature = "prefetch", target_arch = "x86_64")))]
-        let _ = i;
-    }
-
     /// Applies `f` to element `i` in place (read-modify-write).
     ///
     /// # Safety
@@ -159,11 +134,20 @@ impl<'a, T> SharedSlice<'a, T> {
     #[inline]
     pub unsafe fn update(&self, i: usize, f: impl FnOnce(&mut T)) {
         debug_assert!(i < self.data.len());
-        #[cfg(feature = "check-disjoint")]
+        #[cfg(feature = "check-hb")]
         self.shadow.on_write(i);
         // SAFETY: caller upholds exclusive access to element `i` for the
         // duration of `f`.
         unsafe { f(&mut *self.data[i].get()) };
+    }
+}
+
+impl<T> Prefetch for SharedSlice<'_, T> {
+    /// A prefetch hint performs no memory access, so this is *safe* under
+    /// any concurrent writes and never touches the checker's shadow state.
+    #[inline(always)]
+    fn prefetch(&self, i: usize) {
+        self.data.prefetch(i);
     }
 }
 
@@ -219,9 +203,9 @@ mod tests {
     /// serialises them — which makes this negative control deterministic.
     /// The second writer catches its own panic (`thread::scope` would
     /// replace the payload on join).
-    #[cfg(feature = "check-disjoint")]
+    #[cfg(feature = "check-hb")]
     #[test]
-    fn overlapping_writes_panic_under_check_disjoint() {
+    fn overlapping_writes_panic_under_check_hb() {
         let n = 64;
         let mut v = vec![0usize; n];
         let s = SharedSlice::new(&mut v);

@@ -1,4 +1,4 @@
-//! Happens-before machinery behind `check-disjoint` / `check-hb`.
+//! Happens-before machinery behind the `check-hb` race checker.
 //!
 //! The rayon shim's [`rayon::hb`] module maintains per-thread vector clocks
 //! and threads them through every pool synchronization edge. This module
@@ -6,7 +6,7 @@
 //!
 //! * [`ClaimCounter`] — the FCFS work-claim counter the engines and
 //!   `crate::par::run_indexed` share. Plain builds claim with a `Relaxed`
-//!   RMW (uniqueness is all the contract needs); under the checker features
+//!   RMW (uniqueness is all the contract needs); under the checker feature
 //!   the RMW upgrades to `AcqRel` and takes a matching vector-clock edge,
 //!   so successive claimants are ordered in the model exactly as on the
 //!   hardware.
@@ -16,9 +16,9 @@
 //!   precisely the barrier's guarantee. HiPa's dedicated compute workers
 //!   synchronise through this.
 //! * [`shadow`] — the per-element shadow state backing `SharedSlice`:
-//!   last-write epoch (both features) and adaptive read state (`check-hb`
-//!   only: a single epoch until two unordered readers force promotion to a
-//!   full read vector clock — the FastTrack representation). Tables are
+//!   last-write epoch and adaptive read state (a single epoch until two
+//!   unordered readers force promotion to a full read vector clock — the
+//!   FastTrack representation). Tables are
 //!   pooled and generation-stamped: `SharedSlice::new` pops a table from a
 //!   global free list in O(1) and bumps its generation (a slot is live only
 //!   when its stamp matches), so per-phase slice construction — serve and
@@ -26,7 +26,7 @@
 //!   zeroing the *tail* a larger slice grows; never an O(len) zeroing of
 //!   the whole table, which is what the old `WriterTags` did.
 //!
-//! With both features off every type here still exists, but compiles down
+//! With the feature off every type here still exists, but compiles down
 //! to its bare substrate (a `Relaxed` counter, a plain barrier), so call
 //! sites are unconditional and the instrumented build cannot drift from the
 //! real one.
@@ -37,7 +37,7 @@ use std::sync::atomic::AtomicUsize;
 /// each, to any number of racing claimants.
 pub struct ClaimCounter {
     next: AtomicUsize,
-    #[cfg(feature = "check-disjoint")]
+    #[cfg(feature = "check-hb")]
     clock: rayon::hb::SyncClock,
 }
 
@@ -51,7 +51,7 @@ impl ClaimCounter {
     pub fn new() -> ClaimCounter {
         ClaimCounter {
             next: AtomicUsize::new(0),
-            #[cfg(feature = "check-disjoint")]
+            #[cfg(feature = "check-hb")]
             clock: rayon::hb::SyncClock::new(),
         }
     }
@@ -61,24 +61,24 @@ impl ClaimCounter {
     pub fn claim(&self) -> usize {
         // ordering: relaxed via `CLAIM_ORDERING` (FCFS claim counter — only
         // uniqueness of the claimed index matters; results become visible
-        // through the enclosing scope's join). Under the checker features
-        // the constant upgrades to `AcqRel` and the claim takes a matching
+        // through the enclosing scope's join). Under the checker feature the
+        // constant upgrades to `AcqRel` and the claim takes a matching
         // vector-clock edge, so the modeled ordering exists on the hardware.
         let i = self.next.fetch_add(1, rayon::hb::CLAIM_ORDERING);
-        #[cfg(feature = "check-disjoint")]
+        #[cfg(feature = "check-hb")]
         self.clock.rel_acq();
         i
     }
 }
 
 /// `std::sync::Barrier` with a vector-clock edge under the checker
-/// features: each participant releases its clock before waiting and
+/// feature: each participant releases its clock before waiting and
 /// acquires the merged clock after, so pre-barrier events of *all*
 /// participants happen-before post-barrier events of all participants.
-/// Without the features this is exactly a `std::sync::Barrier`.
+/// Without the feature this is exactly a `std::sync::Barrier`.
 pub struct TrackedBarrier {
     inner: std::sync::Barrier,
-    #[cfg(feature = "check-disjoint")]
+    #[cfg(feature = "check-hb")]
     clock: rayon::hb::SyncClock,
 }
 
@@ -86,7 +86,7 @@ impl TrackedBarrier {
     pub fn new(n: usize) -> TrackedBarrier {
         TrackedBarrier {
             inner: std::sync::Barrier::new(n),
-            #[cfg(feature = "check-disjoint")]
+            #[cfg(feature = "check-hb")]
             clock: rayon::hb::SyncClock::new(),
         }
     }
@@ -94,10 +94,10 @@ impl TrackedBarrier {
     pub fn wait(&self) -> std::sync::BarrierWaitResult {
         // All `release`s complete before the barrier opens, so every
         // participant's `acquire` below absorbs every participant's past.
-        #[cfg(feature = "check-disjoint")]
+        #[cfg(feature = "check-hb")]
         self.clock.release();
         let r = self.inner.wait();
-        #[cfg(feature = "check-disjoint")]
+        #[cfg(feature = "check-hb")]
         self.clock.acquire();
         r
     }
@@ -105,16 +105,15 @@ impl TrackedBarrier {
 
 /// Per-element shadow state (write epochs, adaptive read state) and the
 /// generation-stamped table pool. Only `SharedSlice` talks to this.
-#[cfg(feature = "check-disjoint")]
+#[cfg(feature = "check-hb")]
 pub(crate) mod shadow {
     use rayon::hb;
     use std::sync::Mutex;
 
-    /// Read state of one element under `check-hb`: FastTrack's adaptive
+    /// Read state of one element: FastTrack's adaptive
     /// representation — a single epoch while reads are totally ordered,
     /// promoted to a full vector clock on the first pair of concurrent
     /// readers.
-    #[cfg(feature = "check-hb")]
     #[derive(Default)]
     enum ReadState {
         #[default]
@@ -130,7 +129,6 @@ pub(crate) mod shadow {
         gen: u64,
         /// Epoch `(tid, clk)` of the last write this slice lifetime.
         write: Option<(u32, u64)>,
-        #[cfg(feature = "check-hb")]
         read: ReadState,
     }
 
@@ -208,28 +206,25 @@ pub(crate) mod shadow {
                     panic!("{msg}");
                 }
             }
-            #[cfg(feature = "check-hb")]
-            {
-                let racy_read = match &slot.read {
-                    ReadState::None => None,
-                    ReadState::Epoch(t, c) => (!hb::clock_covers(*t, *c)).then_some((*t, *c)),
-                    ReadState::Clock(vc) => vc.iter().find(|&(t, c)| !hb::clock_covers(t, c)),
-                };
-                if let Some((t, c)) = racy_read {
-                    let msg = format!(
-                        "check-hb: read-write race on SharedSlice index {i}: thread tag {me} \
-                         ({:?}) wrote an element read by thread tag {t} with no happens-before \
-                         edge between the accesses — read clock t{t}@{c}, this thread's clock \
-                         {} — the element needed a synchronization edge (scope join, barrier, \
-                         or claim cursor) between the read and the write",
-                        std::thread::current().id(),
-                        hb::my_clock().render(),
-                    );
-                    drop(slot);
-                    panic!("{msg}");
-                }
-                slot.read = ReadState::None;
+            let racy_read = match &slot.read {
+                ReadState::None => None,
+                ReadState::Epoch(t, c) => (!hb::clock_covers(*t, *c)).then_some((*t, *c)),
+                ReadState::Clock(vc) => vc.iter().find(|&(t, c)| !hb::clock_covers(t, c)),
+            };
+            if let Some((t, c)) = racy_read {
+                let msg = format!(
+                    "check-hb: read-write race on SharedSlice index {i}: thread tag {me} \
+                     ({:?}) wrote an element read by thread tag {t} with no happens-before \
+                     edge between the accesses — read clock t{t}@{c}, this thread's clock \
+                     {} — the element needed a synchronization edge (scope join, barrier, \
+                     or claim cursor) between the read and the write",
+                    std::thread::current().id(),
+                    hb::my_clock().render(),
+                );
+                drop(slot);
+                panic!("{msg}");
             }
+            slot.read = ReadState::None;
             slot.write = Some((me, now));
         }
 
@@ -237,7 +232,6 @@ pub(crate) mod shadow {
         /// cover is a race; then fold this read into the adaptive read
         /// state (same-epoch or ordered reads stay a single epoch; a
         /// concurrent second reader promotes to a read vector clock).
-        #[cfg(feature = "check-hb")]
         pub(crate) fn on_read(&self, i: usize) {
             let mut slot = self.slot(i);
             let (me, now) = hb::my_epoch();

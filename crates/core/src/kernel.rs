@@ -19,7 +19,9 @@
 //! each charge to the simulated thread's `ThreadCtx`, using the engine's
 //! [`SimRegions`] (region ids, element widths, per-edge framework ops). The
 //! host arithmetic is the same code on both, so native and simulated ranks
-//! are bit-equal by construction.
+//! are bit-equal by construction. The vertex-centric engines charge their
+//! own pull loops through the same pair, keyed by their own arrays (any
+//! [`Regions`] table).
 //!
 //! disjointness: the caller's unit plan — `hipa_plan_shared` for HiPa
 //! native (a whole partition, or one `Share` destination sub-range plus its
@@ -35,7 +37,7 @@ use crate::config::{DanglingPolicy, PageRankConfig};
 use crate::convergence;
 use crate::disjoint::SharedSlice;
 use crate::pcpm::{PcpmLayout, SubRangeLists};
-use crate::prefetch::{LineFilter, PREFETCH_DISTANCE};
+use crate::prefetch::{LineFilter, Prefetch, PREFETCH_DISTANCE};
 use hipa_graph::DiGraph;
 use hipa_numasim::{Placement, RegionId, SimMachine, ThreadCtx};
 use hipa_partition::Share;
@@ -93,18 +95,22 @@ const REGIONS: [(Arr, &str); 11] = [
     (Arr::DestVerts, "dest_verts"),
 ];
 
-/// What the kernel tells its substrate about each access, in elements of
-/// the named array. Mirrors numasim's `ThreadCtx`. Every charge is free
+/// What an engine's iteration tells its substrate about each access, in
+/// elements of the named array (`K`: this kernel's [`Arr`], or a pull
+/// engine's own key). Mirrors numasim's `ThreadCtx`. Every charge is free
 /// unless the substrate prices it.
-pub trait Charge {
+pub trait Charge<K: Copy = Arr> {
     #[inline(always)]
-    fn read(&mut self, _a: Arr, _i: usize) {}
+    fn read(&mut self, _a: K, _i: usize) {}
     #[inline(always)]
-    fn write(&mut self, _a: Arr, _i: usize) {}
+    fn write(&mut self, _a: K, _i: usize) {}
     #[inline(always)]
-    fn stream_read(&mut self, _a: Arr, _i: usize, _n: usize) {}
+    fn stream_read(&mut self, _a: K, _i: usize, _n: usize) {}
     #[inline(always)]
-    fn stream_write(&mut self, _a: Arr, _i: usize, _n: usize) {}
+    fn stream_write(&mut self, _a: K, _i: usize, _n: usize) {}
+    /// An atomic read-modify-write of one element.
+    #[inline(always)]
+    fn atomic_rmw(&mut self, _a: K, _i: usize) {}
     /// `ops` arithmetic operations.
     #[inline(always)]
     fn compute(&mut self, _ops: u64) {}
@@ -112,17 +118,28 @@ pub trait Charge {
     #[inline(always)]
     fn compute_edges(&mut self, _edges: u64) {}
     /// A software-prefetch hint for element `i` of `a`, held in `s`.
-    fn prefetch(&mut self, a: Arr, s: &SharedSlice<f32>, i: usize);
+    fn prefetch<P: Prefetch + ?Sized>(&mut self, a: K, s: &P, i: usize);
 }
 
 /// The host substrate: charges cost nothing, a prefetch is the hardware
 /// hint.
 pub struct Native;
 
-impl Charge for Native {
+impl<K: Copy> Charge<K> for Native {
     #[inline(always)]
-    fn prefetch(&mut self, _: Arr, s: &SharedSlice<f32>, i: usize) {
+    fn prefetch<P: Prefetch + ?Sized>(&mut self, _: K, s: &P, i: usize) {
         s.prefetch(i);
+    }
+}
+
+/// An engine's simulated regions by array key: the region of each array and
+/// its element width in bytes.
+pub trait Regions {
+    type Key: Copy;
+    fn region(&self, a: Self::Key) -> (RegionId, usize);
+    /// The modelled ops of `edges` binned edges or messages.
+    fn edge_ops(&self, edges: u64) -> u64 {
+        edges
     }
 }
 
@@ -190,43 +207,65 @@ impl SimRegions {
     }
 }
 
+impl Regions for SimRegions {
+    type Key = Arr;
+    fn region(&self, a: Arr) -> (RegionId, usize) {
+        (self.id(a), Self::elem_bytes(a, self.payload_bytes))
+    }
+    fn edge_ops(&self, edges: u64) -> u64 {
+        (1 + self.extra_ops_per_edge) * edges
+    }
+}
+
+/// A region table indexed by array number: each entry's region and element
+/// width, in allocation order.
+impl Regions for Vec<(RegionId, usize)> {
+    type Key = usize;
+    fn region(&self, a: usize) -> (RegionId, usize) {
+        self[a]
+    }
+}
+
 /// The simulated substrate: every charge goes to the simulated thread.
-pub struct Sim<'c, 'm> {
+pub struct Sim<'c, 'm, R = SimRegions> {
     pub ctx: &'c mut ThreadCtx<'m>,
-    pub regions: &'c SimRegions,
+    pub regions: &'c R,
 }
 
 /// A `ThreadCtx` access: region, byte offset, byte length.
 type Access<'m> = fn(&mut ThreadCtx<'m>, RegionId, usize, usize);
 
-impl<'m> Sim<'_, 'm> {
+impl<'m, R: Regions> Sim<'_, 'm, R> {
     #[inline]
-    fn on(&mut self, access: Access<'m>, a: Arr, i: usize, n: usize) {
-        let w = SimRegions::elem_bytes(a, self.regions.payload_bytes);
-        access(self.ctx, self.regions.id(a), w * i, w * n);
+    fn on(&mut self, access: Access<'m>, a: R::Key, i: usize, n: usize) {
+        let (id, w) = self.regions.region(a);
+        access(self.ctx, id, w * i, w * n);
     }
 }
 
-impl Charge for Sim<'_, '_> {
-    fn read(&mut self, a: Arr, i: usize) {
+impl<R: Regions> Charge<R::Key> for Sim<'_, '_, R> {
+    fn read(&mut self, a: R::Key, i: usize) {
         self.on(ThreadCtx::read, a, i, 1);
     }
-    fn write(&mut self, a: Arr, i: usize) {
+    fn write(&mut self, a: R::Key, i: usize) {
         self.on(ThreadCtx::write, a, i, 1);
     }
-    fn stream_read(&mut self, a: Arr, i: usize, n: usize) {
+    fn stream_read(&mut self, a: R::Key, i: usize, n: usize) {
         self.on(ThreadCtx::stream_read, a, i, n);
     }
-    fn stream_write(&mut self, a: Arr, i: usize, n: usize) {
+    fn stream_write(&mut self, a: R::Key, i: usize, n: usize) {
         self.on(ThreadCtx::stream_write, a, i, n);
+    }
+    fn atomic_rmw(&mut self, a: R::Key, i: usize) {
+        self.on(ThreadCtx::atomic_rmw, a, i, 1);
     }
     fn compute(&mut self, ops: u64) {
         self.ctx.compute(ops);
     }
     fn compute_edges(&mut self, edges: u64) {
-        self.ctx.compute((1 + self.regions.extra_ops_per_edge) * edges);
+        self.ctx.compute(self.regions.edge_ops(edges));
     }
-    fn prefetch(&mut self, a: Arr, _: &SharedSlice<f32>, i: usize) {
+    fn prefetch<P: Prefetch + ?Sized>(&mut self, a: R::Key, _: &P, i: usize) {
         self.on(ThreadCtx::prefetch, a, i, 1);
     }
 }

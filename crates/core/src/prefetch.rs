@@ -4,7 +4,7 @@
 //! values through per-destination-partition bin cursors, and the gather
 //! loop applies a streamed value array to random accumulator slots — both
 //! patterns where the next few cache lines are computable well before the
-//! demand access. These helpers issue `core::arch` prefetch hints for
+//! demand access. [`Prefetch`] issues `core::arch` prefetch hints for
 //! exactly those lines.
 //!
 //! Design rules (DESIGN.md §12):
@@ -15,7 +15,7 @@
 //!   callers can prefetch a fixed distance ahead without clamping.
 //! * **Feature-gated.** The `prefetch` cargo feature (default on) plus an
 //!   `x86_64` target are required for real hints; everywhere else the
-//!   functions compile to nothing. The *runtime* knob
+//!   hints compile to nothing. The *runtime* knob
 //!   (`NativeOpts::prefetch` / `SimOpts::prefetch`) is separate so A/B
 //!   censuses don't need a rebuild.
 //! * **The sim stays honest.** The simulated path never calls these host
@@ -37,36 +37,34 @@ pub const PREFETCH_DISTANCE: usize = 16;
 /// partition spills this capacity (1 MB, the Xeon 4210's per-core L2).
 pub const NATIVE_L2_BYTES: usize = 1 << 20;
 
-/// Hints that `data[index]` will be read soon. Out-of-range `index` is a
-/// no-op, as is the whole call without the `prefetch` feature or off
-/// x86_64.
-#[inline(always)]
-pub fn prefetch_read<T>(data: &[T], index: usize) {
-    #[cfg(all(feature = "prefetch", target_arch = "x86_64"))]
-    if index < data.len() {
-        // SAFETY: `index < data.len()` so the pointer is in-bounds;
-        // `_mm_prefetch` is a hint that performs no memory access and has
-        // no architectural effect, so it is safe on any address.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch(
-                data.as_ptr().add(index) as *const i8,
-                core::arch::x86_64::_MM_HINT_T0,
-            );
-        }
-    }
-    #[cfg(not(all(feature = "prefetch", target_arch = "x86_64")))]
-    {
-        let _ = (data, index);
-    }
+/// An array a hot loop hints ahead into: a plain slice, or a
+/// [`SharedSlice`](crate::disjoint::SharedSlice).
+pub trait Prefetch {
+    /// Hints that element `i` will be read soon. Out-of-range `i` is a
+    /// no-op, as is the whole call without the `prefetch` feature or off
+    /// x86_64. x86 has no distinct write-prefetch in the T0 family worth
+    /// modelling separately, so the same hint serves a coming write.
+    fn prefetch(&self, i: usize);
 }
 
-/// Hints that `data[index]` will be written soon. x86 has no distinct
-/// write-prefetch in the T0 family worth modelling separately, so this
-/// fetches into L1 exactly like [`prefetch_read`]; it exists so call sites
-/// document intent.
-#[inline(always)]
-pub fn prefetch_write<T>(data: &[T], index: usize) {
-    prefetch_read(data, index);
+impl<T> Prefetch for [T] {
+    #[inline(always)]
+    fn prefetch(&self, i: usize) {
+        #[cfg(all(feature = "prefetch", target_arch = "x86_64"))]
+        if i < self.len() {
+            // SAFETY: `i < self.len()` so the pointer is in-bounds;
+            // `_mm_prefetch` is a hint that performs no memory access and
+            // has no architectural effect, so it is safe on any address.
+            unsafe {
+                core::arch::x86_64::_mm_prefetch(
+                    self.as_ptr().add(i) as *const i8,
+                    core::arch::x86_64::_MM_HINT_T0,
+                );
+            }
+        }
+        #[cfg(not(all(feature = "prefetch", target_arch = "x86_64")))]
+        let _ = i;
+    }
 }
 
 /// Collapses per-element hint sites to one hint per cache line.
@@ -111,13 +109,12 @@ mod tests {
     #[test]
     fn in_and_out_of_bounds_are_noops_semantically() {
         let v = vec![1u32, 2, 3];
-        prefetch_read(&v, 0);
-        prefetch_read(&v, 2);
-        prefetch_read(&v, 3); // out of range: ignored
-        prefetch_read(&v, usize::MAX);
-        prefetch_write(&v, 1);
+        v.prefetch(0);
+        v.prefetch(2);
+        v.prefetch(3); // out of range: ignored
+        v.prefetch(usize::MAX);
         let empty: Vec<f32> = Vec::new();
-        prefetch_read(&empty, 0);
+        empty.prefetch(0);
         assert_eq!(v, vec![1, 2, 3]);
     }
 

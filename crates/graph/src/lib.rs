@@ -32,12 +32,10 @@ pub mod gen;
 pub mod io;
 pub mod reorder;
 pub mod stats;
-pub mod weighted;
 
 pub use builder::CsrBuilder;
 pub use csr::{Csr, DiGraph};
 pub use edgelist::{Edge, EdgeList};
-pub use weighted::{WeightedCsr, WeightedEdge};
 
 /// Vertex identifier. The paper fixes vertex ids to 4 bytes (§4.1).
 pub type VertexId = u32;

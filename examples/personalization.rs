@@ -1,13 +1,12 @@
 //! Personalized PageRank: importance *as seen from a seed user*, computed
 //! with the partition-centric SpMV machinery, contrasted with the global
-//! ranking — plus a weighted-graph variant.
+//! ranking.
 //!
 //! ```text
 //! cargo run --release --example personalization
 //! ```
 
-use hipa::algos::{personalized_from_seed, wspmv_partition_centric, PersonalizedConfig};
-use hipa::graph::{EdgeList, WeightedCsr};
+use hipa::algos::{personalized_from_seed, PersonalizedConfig};
 use hipa::prelude::*;
 
 fn main() {
@@ -28,20 +27,5 @@ fn main() {
     println!(
         "seed's own rank: global {:.2e} vs personalized {:.2e}",
         global[seed as usize], res.ranks[seed as usize]
-    );
-
-    // Weighted SpMV: one propagation step where edges carry affinities.
-    let el = EdgeList::new(
-        g.num_vertices(),
-        g.out_csr().iter_edges().map(|(s, d)| hipa::graph::Edge::new(s, d)).collect(),
-    );
-    let w = WeightedCsr::random_weights(&el, 0.1, 1.0, 42);
-    let x = res.ranks.clone();
-    let y = wspmv_partition_centric(&w, &x, 64 * 1024 / 4);
-    let pushed: f32 = y.iter().sum();
-    println!(
-        "one weighted propagation step moves {:.4} rank mass across {} weighted edges",
-        pushed,
-        w.num_edges()
     );
 }

@@ -43,26 +43,22 @@ run_step bench_diff cargo run --release -q -p hipa-perf -- \
 
 run_step audit cargo run --release -q -p hipa-audit -- --summary-only
 
-# HB-overhead snapshot, appended to audit.txt: the same engine-corpus test
-# (tests/check_disjoint.rs) timed under the write-only checker vs the full
-# happens-before detector — identical work, so the delta is the read-tracking
-# cost (DESIGN.md 15). Binaries are prebuilt so wall time is run time.
+# Race-checker timing, appended to audit.txt: the engine-corpus tests
+# (tests/check_hb.rs) under the happens-before detector. The binary is
+# prebuilt so wall time is run time (DESIGN.md 15).
 {
   echo
-  echo "=== check-hb overhead (whole_engine_corpus, release) ==="
-  for feat in check-disjoint check-hb; do
-    cargo test -q --release --features "$feat" --test check_disjoint --no-run \
-      > /dev/null 2>&1
-    t0=$(date +%s%N)
-    if cargo test -q --release --features "$feat" --test check_disjoint \
-        whole_engine_corpus > /dev/null 2>&1; then
-      status=ok
-    else
-      status=FAILED
-    fi
-    t1=$(date +%s%N)
-    echo "$feat: $(((t1 - t0) / 1000000)) ms ($status)"
-  done
+  echo "=== check-hb timing (engine corpora, release) ==="
+  cargo test -q --release --features check-hb --test check_hb --no-run > /dev/null 2>&1
+  t0=$(date +%s%N)
+  if cargo test -q --release --features check-hb --test check_hb corpus \
+      > /dev/null 2>&1; then
+    status=ok
+  else
+    status=FAILED
+  fi
+  t1=$(date +%s%N)
+  echo "check-hb: $(((t1 - t0) / 1000000)) ms ($status)"
 } >> results/audit.txt 2>> results/audit.err
 
 # Error summary: any step that exited nonzero or left a non-empty .err.

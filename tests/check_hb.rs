@@ -3,14 +3,15 @@
 //! state, checked against the vector clocks the rayon shim threads through
 //! every pool synchronization edge. This suite proves three things:
 //!
-//! * **soundness controls** — seeded races the write-only `check-disjoint`
-//!   subset cannot see (a read racing a scope job's write; writes from two
-//!   different pools with no join between them) panic, naming both thread
-//!   tags, the element index, and the two unordered clocks;
+//! * **soundness controls** — seeded races (a read racing a scope job's
+//!   write; writes from two different pools with no join between them)
+//!   panic, naming both thread tags, the element index, and the two
+//!   unordered clocks;
 //! * **precision controls** — accesses ordered by a modeled edge (scope
 //!   join, sequential scopes across pools) are *not* flagged;
-//! * **invariance** — all ten engine paths, the partition-centric SpMV,
-//!   and the serve layer run race-clean with bitwise-identical ranks and
+//! * **invariance** — all ten engine paths (over a corpus of graph shapes
+//!   and both dangling policies), the partition-centric SpMV, and the serve
+//!   layer run race-clean with bitwise-identical ranks and
 //!   simulated cycles across repeated runs (the shadow machinery observes
 //!   the arithmetic, never feeds it).
 //!
@@ -40,9 +41,9 @@ fn payload_msg(err: Box<dyn std::any::Any + Send>) -> String {
 
 /// Seeded race 1 — read-write across an unjoined scope: a pool job writes
 /// an element while the scope body (the main thread, which never becomes a
-/// pool worker) reads the same element *before the join*. The write-only
-/// subset is blind to this; `check-hb` must panic naming both threads. A
-/// deliberately unmodeled relaxed flag sequences the wall-clock order
+/// pool worker) reads the same element *before the join*. A write-only
+/// check would be blind to this; `check-hb` must panic naming both threads.
+/// A deliberately unmodeled relaxed flag sequences the wall-clock order
 /// (write first, read second) so the detecting side is deterministic.
 #[test]
 fn unjoined_scope_read_write_race_is_caught() {
@@ -89,10 +90,9 @@ fn unjoined_scope_read_write_race_is_caught() {
 
 /// Seeded race 2 — write-write across two pools: a job on pool A and a job
 /// on pool B (spawned from inside A's still-open scope, so no join orders
-/// them) write the same element. Under `check-disjoint` semantics this is
-/// the classic overlapping-plan violation; the clocks prove there is no
-/// happens-before edge even though the two writes never touch one pool's
-/// internal queue. The relaxed flag again makes pool B's write land second.
+/// them) write the same element: the classic overlapping-plan violation.
+/// The clocks prove there is no happens-before edge even though the two
+/// writes never touch one pool's internal queue. The relaxed flag again makes pool B's write land second.
 #[test]
 fn cross_pool_write_write_race_is_caught() {
     let pool_a = rayon::ThreadPoolBuilder::new().num_threads(2).build().expect("pool A");
@@ -188,28 +188,28 @@ fn joined_and_sequential_accesses_are_not_flagged() {
     assert!(v.iter().all(|&x| x == 1));
 }
 
-/// Shared invariance body: all ten engine paths on `g` run race-clean under
-/// the full detector with ranks bitwise identical between native and sim,
-/// across thread counts, and across repeated runs — and the simulated cycle
-/// counts are bitwise stable too (the shadow state never feeds the model).
-fn assert_engine_paths_bitwise_stable(g: &DiGraph, iterations: usize) {
+/// Shared invariance body: all ten engine paths on `g` (labelled `gname`)
+/// run race-clean under the full detector with ranks bitwise identical
+/// between native and sim, across thread counts, and across repeated runs —
+/// and the simulated cycle counts are bitwise stable too (the shadow state
+/// never feeds the model).
+fn assert_engine_paths_bitwise_stable(gname: &str, g: &DiGraph, cfg: &PageRankConfig) {
     let machine = MachineSpec::tiny_test();
     let g = g.clone();
-    let cfg = PageRankConfig::default().with_iterations(iterations);
     // 512 B gives more partitions than threads; `n * 4` bytes gives one
     // partition, which HiPa's four threads share by destination sub-range.
     for (e, bytes) in
         all_engines().iter().flat_map(|e| [512, g.num_vertices() * 4].map(|bytes| (e, bytes)))
     {
-        let name = format!("{} at {bytes} B", e.name());
-        let nat = e.run_native(&g, &cfg, &NativeOpts::new(4, bytes));
-        let nat2 = e.run_native(&g, &cfg, &NativeOpts::new(4, bytes));
+        let name = format!("{} on {gname} ({:?}) at {bytes} B", e.name(), cfg.dangling);
+        let nat = e.run_native(&g, cfg, &NativeOpts::new(4, bytes));
+        let nat2 = e.run_native(&g, cfg, &NativeOpts::new(4, bytes));
         assert_eq!(nat.ranks, nat2.ranks, "{name}: native re-run changed ranks");
-        let one = e.run_native(&g, &cfg, &NativeOpts::new(1, bytes));
+        let one = e.run_native(&g, cfg, &NativeOpts::new(1, bytes));
         assert_eq!(nat.ranks, one.ranks, "{name}: thread count changed ranks");
         let sopts = || SimOpts::new(machine.clone()).with_threads(4).with_partition_bytes(bytes);
-        let sim = e.run_sim(&g, &cfg, &sopts());
-        let sim2 = e.run_sim(&g, &cfg, &sopts());
+        let sim = e.run_sim(&g, cfg, &sopts());
+        let sim2 = e.run_sim(&g, cfg, &sopts());
         assert_eq!(nat.ranks, sim.ranks, "{name}: native != sim under check-hb");
         assert_eq!(sim.ranks, sim2.ranks, "{name}: sim re-run changed ranks");
         assert_eq!(
@@ -229,7 +229,28 @@ fn assert_engine_paths_bitwise_stable(g: &DiGraph, iterations: usize) {
 #[test]
 fn engine_corpus_is_race_clean_and_bitwise_stable() {
     let g = hipa::graph::datasets::small_test_graph(11);
-    assert_engine_paths_bitwise_stable(&g, 6);
+    let cfg = PageRankConfig::default().with_iterations(6);
+    assert_engine_paths_bitwise_stable("rmat-11", &g, &cfg);
+}
+
+/// Shape extremes under both dangling policies: a cycle, a star, a path
+/// whose last vertex dangles, an R-MAT graph and an Erdős–Rényi graph.
+#[test]
+fn small_graph_corpus_is_race_clean_under_both_dangling_policies() {
+    use hipa::graph::gen::*;
+    let graphs = [
+        ("cycle", DiGraph::from_edge_list(&cycle(64))),
+        ("star", DiGraph::from_edge_list(&star(40))),
+        ("path-dangling", DiGraph::from_edge_list(&path(50))),
+        ("rmat", hipa::graph::datasets::small_test_graph(7)),
+        ("er", DiGraph::from_edge_list(&erdos_renyi(300, 2400, 5))),
+    ];
+    for (gname, g) in &graphs {
+        for policy in [DanglingPolicy::Ignore, DanglingPolicy::Redistribute] {
+            let cfg = PageRankConfig::default().with_iterations(6).with_dangling(policy);
+            assert_engine_paths_bitwise_stable(gname, g, &cfg);
+        }
+    }
 }
 
 proptest! {
@@ -241,7 +262,8 @@ proptest! {
     #[test]
     fn engine_paths_bitwise_stable_across_seeds(seed in 0u64..512, iters in 3usize..8) {
         let g = hipa::graph::datasets::small_test_graph(seed);
-        assert_engine_paths_bitwise_stable(&g, iters);
+        let cfg = PageRankConfig::default().with_iterations(iters);
+        assert_engine_paths_bitwise_stable(&format!("rmat-{seed}"), &g, &cfg);
     }
 }
 

@@ -127,6 +127,36 @@ fn hipa_and_ppr_share_exact_arithmetic() {
     assert_eq!(a.ranks, b.ranks);
 }
 
+/// The vertex-centric pulls sum each destination's in-neighbours in
+/// ascending in-CSR order, in f32: an iteration of v-PR is bitwise
+/// `base + d · spmv_reference(rank / outdeg)`, one of Polymer the same over
+/// its pre-scaled contributions `rank · (1 / outdeg)`. (Their sim paths run
+/// the same region bodies, so they need this pin: native-vs-sim equality
+/// cannot see an order change.)
+#[test]
+fn vertex_centric_pulls_sum_in_ascending_source_order() {
+    let cfg = PageRankConfig::default().with_iterations(3);
+    let opts = NativeOpts::new(4, 1024);
+    for (gname, g) in graphs() {
+        let n = g.num_vertices();
+        let base = hipa::core::kernel::base_value(&cfg, n, 0.0);
+        let inv_deg = hipa::core::par::inv_deg_parallel(&g, 1);
+        let oracle = |contrib: &dyn Fn(usize, f32) -> f32| {
+            let mut rank = vec![1.0f32 / n as f32; n];
+            for _ in 0..cfg.iterations {
+                let x: Vec<f32> = rank.iter().enumerate().map(|(u, &r)| contrib(u, r)).collect();
+                let y = hipa_algos::spmv_reference(&g, &x);
+                rank = y.iter().map(|&y| base + cfg.damping * y).collect();
+            }
+            rank
+        };
+        let vpr = oracle(&|u, r| r / g.out_degree(u as u32) as f32);
+        let polymer = oracle(&|u, r| r * inv_deg[u]);
+        assert_eq!(Vpr.run_native(&g, &cfg, &opts).ranks, vpr, "v-PR on {gname}");
+        assert_eq!(Polymer.run_native(&g, &cfg, &opts).ranks, polymer, "Polymer on {gname}");
+    }
+}
+
 #[test]
 fn thread_count_does_not_change_any_engine_result() {
     let g = hipa::graph::datasets::small_test_graph(15);

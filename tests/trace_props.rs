@@ -2,7 +2,7 @@
 //! concurrency, the zero-overhead-when-off contract, and the native/sim
 //! `RunTrace` agreement for every engine.
 
-use hipa::obs::{Recorder, RunTrace, TraceMeta};
+use hipa::obs::{Recorder, RunTrace, TraceMeta, RUN_LEVEL};
 use hipa::prelude::*;
 use hipa_baselines::all_engines;
 use proptest::prelude::*;
@@ -87,10 +87,29 @@ fn tracing_never_perturbs_ranks() {
     }
 }
 
+/// A trace's `(phase, thread, iter)` span keys, sorted: the per-thread
+/// ones, or the run-level ones (region and whole-run spans).
+fn span_keys(t: &RunTrace, run_level: bool) -> Vec<(String, i64, i64)> {
+    let mut keys: Vec<_> = t
+        .spans
+        .iter()
+        .filter(|s| (s.thread == RUN_LEVEL) == run_level)
+        .map(|s| (s.phase.clone(), s.thread, s.iter))
+        .collect();
+    keys.sort();
+    keys
+}
+
 /// Every engine's native and sim traces agree on the run's shape: same
 /// iteration count, same converged flag, residual recorded every iteration,
 /// and matching residual *values* (both paths execute bit-identical rank
-/// updates, and the trace reduction is deterministic).
+/// updates, and the trace reduction is deterministic). They also record the
+/// same spans: the same per-thread `(phase, thread, iter)` keys for every
+/// engine, and the same run-level keys for the four baselines (v-PR and
+/// Polymer record theirs through one region runner on both substrates).
+/// HiPa is the exception there: its native barrier workers record no run-level region
+/// span, so only its sim trace carries the per-iteration region keys (and
+/// the simulated threads' first-touch `init` phase).
 #[test]
 fn native_and_sim_traces_agree() {
     let g = hipa::graph::datasets::small_test_graph(22);
@@ -118,6 +137,12 @@ fn native_and_sim_traces_agree() {
                 (a.residual.expect("native residual"), b.residual.expect("sim residual"));
             assert_eq!(ra, rb, "{} residual diverged at iter {}", e.name(), a.iter);
         }
+        assert_eq!(span_keys(&nt, false), span_keys(&st, false), "{} per-thread spans", e.name());
+        let mut sim_run_level = span_keys(&st, true);
+        if e.name() == "HiPa" {
+            sim_run_level.retain(|(phase, _, iter)| *iter == RUN_LEVEL && phase != "init");
+        }
+        assert_eq!(span_keys(&nt, true), sim_run_level, "{} run-level spans", e.name());
     }
 }
 
