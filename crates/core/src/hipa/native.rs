@@ -17,16 +17,23 @@
 //! ([`crate::kernel`]) with the [`Native`] charge: this file keeps only the
 //! plan, the preprocessing, the worker lifecycle and the reductions.
 //!
-//! With fewer partitions than threads, the plan's level below the partition
-//! ([`Share`](hipa_partition::Share)) lets several threads share one
-//! partition. Each walks the partition's sources in ascending order but
-//! adds only into its own destination sub-range, writes its own run of the
-//! partition's PNG slots, walks the whole inbox in slot order applying only
-//! its own destinations, and finalises only its sub-range. Each sub-range's
-//! lists are copied out once in preprocessing
-//! ([`PcpmLayout::sub_range_lists`]), keeping only the sources and slots
-//! that reach it, so a sharer streams only its own edges ([`Unit::shared`]);
-//! a whole partition reads the layout's lists in place ([`Unit::whole`]).
+//! The plan ([`hipa_plan_shared`]) gives each thread one contiguous
+//! destination range of about `1/threads` of the in-edges, cut wherever the
+//! in-edges say, not at partition boundaries: a thread's first and last
+//! partitions may be shared with its neighbours ([`Share`]), the ones
+//! between are whole. A sharer walks the partition's sources in ascending
+//! order but adds only into its own destination sub-range, writes its own
+//! run of the partition's PNG slots, walks the whole inbox in slot order
+//! applying only its own destinations, and finalises only its sub-range.
+//! Each (thread, shared partition) pair's lists are copied out once in
+//! preprocessing ([`PcpmLayout::sub_range_lists`]), keeping only the
+//! sources and slots that reach it, so a sharer streams only its own edges
+//! ([`Unit::shared`]); a whole partition reads the layout's lists in place
+//! ([`Unit::whole`]).
+//!
+//! Thread 0 also records each phase's run-level span, from its phase start
+//! to its exit from the phase's barrier: that span minus the slowest
+//! thread's own is the barrier wait an imbalance costs.
 //!
 //! Every destination sums in the one-thread order (intra contributions in
 //! source order during scatter, then inbox messages in slot order during
@@ -35,10 +42,11 @@
 //! count.
 //!
 //! disjointness: HiPa plan (`hipa_plan_shared`) — each worker owns the
-//! units of its `part_range` partitions (the kernel's writes stay inside
-//! them, see [`crate::kernel`]) and its own index in the per-thread partial
-//! arrays; `ctrl` is written only by thread 0 and read after the join. Every
-//! slice is created once before spawn and ownership never migrates, so each
+//! units of its `part_range` partitions, whole or its `Share` of them (the
+//! kernel's writes stay inside its own destinations and message runs, see
+//! [`crate::kernel`]), and its own index in the per-thread partial arrays;
+//! `ctrl` is written only by thread 0 and read after the join. Every slice
+//! is created once before spawn and ownership never migrates, so each
 //! element has one writer thread for the whole run.
 
 use crate::config::{DanglingPolicy, PageRankConfig};
@@ -49,8 +57,8 @@ use crate::kernel::{base_value, dangling_mass, Kernel, Native, State, Step, Unit
 use crate::pcpm::{PcpmLayout, SubRangeLists};
 use crate::runs::{NativeOpts, NativeRun, RunEnd};
 use hipa_graph::{DiGraph, VERTEX_BYTES};
-use hipa_obs::{PoolCounters, Recorder};
-use hipa_partition::hipa_plan_shared;
+use hipa_obs::{PoolCounters, Recorder, RUN_LEVEL};
+use hipa_partition::{hipa_plan_shared, Share};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -82,25 +90,40 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
     // bit-identical to the sequential build.
     let prefix = crate::par::degree_prefix_parallel(g.out_degrees(), build_threads);
     let layout = PcpmLayout::build_par_ext(g.out_csr(), vpp, false, true, build_threads);
-    let plan = hipa_plan_shared(&prefix, 1, threads, vpp, |p| layout.in_degrees(p));
+    let plan = hipa_plan_shared(&prefix, 1, threads, vpp, &layout);
     let thread_plans: Vec<_> = plan.threads().map(|(_, _, t)| t).collect();
-    // Each sharer's lists, one sharer per build worker.
-    let sharers: Vec<usize> = (0..threads).filter(|&j| thread_plans[j].share.of > 1).collect();
-    let subs: Vec<OnceLock<SubRangeLists>> = (0..threads).map(|_| OnceLock::new()).collect();
-    crate::par::run_indexed(sharers.len(), build_threads, |i| {
-        let t = thread_plans[sharers[i]];
-        let lists = layout.sub_range_lists(t.part_range.start, t.vertex_range.clone());
-        subs[sharers[i]].set(lists).expect("each sharer's lists are built once");
+    // The destinations thread `j` owns in partition `p`.
+    let dsts = |j: usize, p: usize| {
+        let (t, pv) = (&thread_plans[j].vertex_range, layout.partition_vertices(p));
+        t.start.max(pv.start)..t.end.min(pv.end)
+    };
+    // Each (thread, shared partition) pair's lists, one pair per build
+    // worker; a thread shares at most its first and last partition.
+    let shared: Vec<(usize, usize)> = thread_plans
+        .iter()
+        .enumerate()
+        .flat_map(|(j, t)| t.part_range.clone().map(move |p| (j, p)))
+        .filter(|&(j, p)| thread_plans[j].share_of(p).of > 1)
+        .collect();
+    let subs: Vec<OnceLock<SubRangeLists>> = shared.iter().map(|_| OnceLock::new()).collect();
+    crate::par::run_indexed(shared.len(), build_threads, |i| {
+        let (j, p) = shared[i];
+        let lists = layout.sub_range_lists(p, dsts(j, p));
+        subs[i].set(lists).expect("each pair's lists are built once");
     });
     let units: Vec<Vec<Unit>> = thread_plans
         .iter()
-        .zip(&subs)
-        .map(|(t, sub)| {
+        .enumerate()
+        .map(|(j, t)| {
             t.part_range
                 .clone()
-                .map(|p| match sub.get() {
-                    None => Unit::whole(&layout, p),
-                    Some(l) => Unit::shared(&layout, p, t.share, t.vertex_range.clone(), l),
+                .map(|p| match t.share_of(p) {
+                    Share::WHOLE => Unit::whole(&layout, p),
+                    share => {
+                        let i = shared.binary_search(&(j, p)).expect("a shared pair");
+                        let l = subs[i].get().expect("built above");
+                        Unit::shared(&layout, p, share, dsts(j, p), l)
+                    }
                 })
                 .collect()
         })
@@ -149,6 +172,12 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
                         }
                         spans.end(scatter_t, "scatter", it);
                         barrier.wait();
+                        if j == 0 {
+                            // Thread 0's phase start to its barrier exit:
+                            // the phase's wall time, the slowest thread's
+                            // span plus the barrier's wait.
+                            rec.end(scatter_t, "scatter", RUN_LEVEL, it as i64);
+                        }
 
                         let gather_t = spans.start();
                         let step = Step::native(base, track);
@@ -166,6 +195,9 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
                         }
                         spans.end(gather_t, "gather", it);
                         barrier.wait();
+                        if j == 0 {
+                            rec.end(gather_t, "gather", RUN_LEVEL, it as i64);
+                        }
 
                         // --- Reduction, on every thread: all read the
                         // same partials in the same order, so all reach the
@@ -249,10 +281,11 @@ mod tests {
         let r1 = run(&g, &cfg, &NativeOpts::new(1, 1024));
         let r4 = run(&g, &cfg, &NativeOpts::new(4, 1024));
         assert_eq!(r1.ranks, r4.ranks, "bitwise determinism across thread counts");
-        // Fewer partitions than threads (1024 vertices): one partition
-        // shared by 2, 3 and 4 threads, and two partitions for three threads
-        // (one split, one not). Each matches 1-thread native and the sim.
-        for (bytes, threads) in [(4096, 2), (4096, 3), (4096, 4), (2048, 3)] {
+        // Few partitions (1024 vertices): one partition shared by 2, 3 and
+        // 4 threads, two partitions for three threads, and three for two
+        // (a cut inside a partition, another partition whole). Each matches
+        // 1-thread native and the sim.
+        for (bytes, threads) in [(4096, 2), (4096, 3), (4096, 4), (2048, 3), (1368, 2)] {
             let one = run(&g, &cfg, &NativeOpts::new(1, bytes));
             let many = run(&g, &cfg, &NativeOpts::new(threads, bytes));
             let sim = crate::hipa::sim::run(

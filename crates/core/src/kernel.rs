@@ -24,7 +24,8 @@
 //! [`Regions`] table).
 //!
 //! disjointness: the caller's unit plan — `hipa_plan_shared` for HiPa
-//! native (a whole partition, or one `Share` destination sub-range plus its
+//! native (per thread, whole partitions and, at either end of its
+//! destination range, a `Share`: one destination sub-range plus its
 //! `Unit::msgs` run of the partition's PNG messages), the FCFS
 //! `ClaimCounter` for p-PR/GPOP native, and `phase_balanced`'s one-host-
 //! thread replay in the simulator. A unit writes only the accumulators,

@@ -732,15 +732,24 @@ impl PcpmLayout {
         }
     }
 
+    /// Partition `p`'s in-edges: its run of `intra_dst` (the intra edges of
+    /// its sources) and its inbox's run of `dest_verts`.
+    fn in_runs(&self, p: usize) -> (Range<usize>, Range<usize>) {
+        let vr = self.partition_vertices(p);
+        let sr = &self.part_slot_ranges[p];
+        (
+            self.intra_offsets[vr.start as usize] as usize
+                ..self.intra_offsets[vr.end as usize] as usize,
+            self.dest_offsets[sr.start as usize] as usize
+                ..self.dest_offsets[sr.end as usize] as usize,
+        )
+    }
+
     /// In-edges of each vertex of partition `p`: the intra edges of its
     /// sources plus the destinations of its inbox (no transpose needed).
     pub fn in_degrees(&self, p: usize) -> Vec<u32> {
         let vr = self.partition_vertices(p);
-        let intra = self.intra_offsets[vr.start as usize] as usize
-            ..self.intra_offsets[vr.end as usize] as usize;
-        let sr = &self.part_slot_ranges[p];
-        let inbox = self.dest_offsets[sr.start as usize] as usize
-            ..self.dest_offsets[sr.end as usize] as usize;
+        let (intra, inbox) = self.in_runs(p);
         let mut deg = vec![0u32; vr.len()];
         for &d in self.intra_dst[intra].iter().chain(&self.dest_verts[inbox]) {
             deg[(d - vr.start) as usize] += 1;
@@ -793,6 +802,18 @@ impl PcpmLayout {
     /// the source CSR's edge count.
     pub fn total_edges(&self) -> u64 {
         self.intra_dst.len() as u64 + self.dest_verts.len() as u64
+    }
+}
+
+/// The shared plan's in-edge counts, read off the layout; a partition's
+/// total is the length of its two runs.
+impl hipa_partition::InDegrees for &PcpmLayout {
+    fn in_degrees(&mut self, p: usize) -> Vec<u32> {
+        PcpmLayout::in_degrees(self, p)
+    }
+    fn in_edges(&mut self, p: usize) -> u64 {
+        let (intra, inbox) = self.in_runs(p);
+        (intra.len() + inbox.len()) as u64
     }
 }
 

@@ -11,8 +11,9 @@
 //!   partitions (the last node absorbing the leftover), then Eq. 4
 //!   edge-balances each node's partitions into per-thread *groups*, giving
 //!   the one-to-many thread→partition ownership that eliminates FCFS
-//!   contention (§3.2); [`hipa_plan_shared`] adds the level below the
-//!   partition for nodes with fewer partitions than threads.
+//!   contention (§3.2); [`hipa_plan_shared`] instead balances each node's
+//!   threads by in-edges, down to the level below the partition (a
+//!   partition a cut falls in is shared by destination sub-range).
 //!
 //! [`LookupTable`] is the 2-level table of Fig. 3 (thread → partition range,
 //! partition → vertex range).
@@ -26,7 +27,8 @@ pub mod quality;
 pub use balanced::{edge_balanced, edge_balanced_with_prefix, vertex_balanced};
 pub use lookup::LookupTable;
 pub use plan::{
-    hipa_plan, hipa_plan_shared, hipa_plan_with_prefix, HiPaPlan, NodePlan, Share, ThreadPlan,
+    hipa_plan, hipa_plan_shared, hipa_plan_with_prefix, HiPaPlan, InDegrees, NodePlan, Share,
+    ThreadPlan,
 };
 pub use quality::{plan_quality, PlanQuality};
 

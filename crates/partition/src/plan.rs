@@ -5,34 +5,56 @@
 //! Level 2 (Eq. 4): inside each node, contiguous partition *groups* are
 //! assigned to threads so every group carries ≈ |Eᵢ|/C edges (the loosened
 //! condition Σ D(v) ≥ |Eᵢ|/C from the end of §3.2).
-//! Below the partition ([`hipa_plan_shared`]): §3.2 assumes many more
-//! partitions than threads. On a node with fewer, the threads share
-//! partitions instead, each owning one contiguous destination sub-range
-//! balanced by in-edges ([`Share`]).
+//! Below the partition ([`hipa_plan_shared`]): Eq. 4 assumes many more
+//! partitions than threads; with few, whole-partition groups leave threads
+//! idle or overloaded. The shared plan instead cuts each node's destination
+//! range into `C` contiguous ranges of about equal in-edge count, wherever
+//! the cuts fall. A partition that several ranges overlap is shared: each
+//! of its threads owns one contiguous destination sub-range of it
+//! ([`Share`]); every other partition stays whole.
 
 use crate::balanced::edge_balanced_with_prefix;
 use crate::{degree_prefix, edges_in};
 use std::ops::Range;
 
-/// One thread's slice of a node: a contiguous group of cache partitions, or
-/// one destination sub-range of a shared partition.
+/// One thread's slice of a node: one contiguous destination range, over a
+/// contiguous group of cache partitions whose first and last may be shared
+/// with the neighbouring threads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadPlan {
-    /// Global cache-partition indices owned by this thread (`mⱼ` many); the
-    /// one shared partition when `share.of > 1`.
+    /// Global cache-partition indices this thread works in (`mⱼ` many).
     pub part_range: Range<usize>,
-    /// Vertices covered by those partitions; for a shared partition, the
-    /// destination sub-range this thread sums into and finalises.
+    /// The destinations this thread sums into and finalises: whole
+    /// partitions, except a sub-range of a shared first or last partition.
     pub vertex_range: Range<u32>,
     /// Out-edges carried by those vertices.
     pub edges: u64,
-    /// This thread's share of `part_range` ([`Share::WHOLE`] unless the node
-    /// has fewer partitions than threads).
+    /// This thread's share of its first partition ([`Share::WHOLE`] unless
+    /// that partition is shared).
     pub share: Share,
+    /// This thread's share of its last partition (the same partition as
+    /// `share`'s when it has one).
+    pub last_share: Share,
+}
+
+impl ThreadPlan {
+    /// This thread's share of `p`, one of its partitions: every partition
+    /// between its first and last is whole.
+    pub fn share_of(&self, p: usize) -> Share {
+        debug_assert!(self.part_range.contains(&p), "partition {p} is not this thread's");
+        if p == self.part_range.start {
+            self.share
+        } else if p + 1 == self.part_range.end {
+            self.last_share
+        } else {
+            Share::WHOLE
+        }
+    }
 }
 
 /// The level below the partition: thread `index` of the `of` consecutive
-/// threads that split one partition into destination sub-ranges.
+/// threads that split one partition into destination sub-ranges, in
+/// destination order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Share {
     pub index: usize,
@@ -53,7 +75,8 @@ pub struct NodePlan {
     pub vertex_range: Range<u32>,
     /// Out-edges on this node (≈ |E|/N by Eq. 2/3).
     pub edges: u64,
-    /// Per-thread groups, edge-balanced by Eq. 4.
+    /// Per-thread groups, edge-balanced by Eq. 4 ([`hipa_plan_with_prefix`])
+    /// or by in-edges ([`hipa_plan_shared`]).
     pub threads: Vec<ThreadPlan>,
 }
 
@@ -211,6 +234,7 @@ pub fn hipa_plan_with_prefix(
                 edges: edges_in(prefix, &vr),
                 vertex_range: vr,
                 share: Share::WHOLE,
+                last_share: Share::WHOLE,
             });
             start_part = end_part;
         }
@@ -230,17 +254,38 @@ pub fn hipa_plan_with_prefix(
     }
 }
 
-/// [`hipa_plan_with_prefix`] plus the level below the partition.
+/// The in-edge counts a shared plan balances by.
+pub trait InDegrees {
+    /// The in-edge count of each vertex of partition `p`.
+    fn in_degrees(&mut self, p: usize) -> Vec<u32>;
+
+    /// Partition `p`'s in-edges in all; by default the sum of
+    /// [`Self::in_degrees`]. A source that knows the total without the
+    /// per-vertex counts should say so here: the plan asks for every
+    /// partition's total but for per-vertex counts only where a cut falls.
+    fn in_edges(&mut self, p: usize) -> u64 {
+        self.in_degrees(p).iter().map(|&d| u64::from(d)).sum()
+    }
+}
+
+impl<F: FnMut(usize) -> Vec<u32>> InDegrees for F {
+    fn in_degrees(&mut self, p: usize) -> Vec<u32> {
+        self(p)
+    }
+}
+
+/// [`hipa_plan_with_prefix`]'s nodes, with each node's threads planned by
+/// in-edges, down to the level below the partition.
 ///
-/// On a node with at least as many partitions as threads the plan is
-/// exactly [`hipa_plan_with_prefix`]'s and `in_degrees` is never called. On
-/// a node with fewer (but at least one), thread `j` of the node's `C` goes to
-/// the node's partition `⌊j·nᵢ/C⌋`, so every partition gets a run of
-/// consecutive threads. When `k ≥ 2` threads share a partition, each owns
-/// one contiguous destination sub-range of it, cut where the partition's
-/// in-edges reach `i/k` of their total; `in_degrees(p)` returns the in-edge
-/// count of each vertex of partition `p`. Every sub-range keeps at least one
-/// vertex while the partition has vertices to give.
+/// Each node's destination range is cut into `C` contiguous ranges, cut `i`
+/// where the node's in-edges reach `i/C` of their total; every range keeps
+/// at least one vertex while the node has vertices to give. Thread `j`
+/// owns range `j`. A partition that `k ≥ 2` ranges overlap is shared: the
+/// thread at position `i` among them holds [`Share`] `{ index: i, of: k }`
+/// of it, and owns the destination sub-range its range covers. Every other
+/// partition is whole. `ins.in_edges(p)` is read for every partition of a
+/// non-empty node, `ins.in_degrees(p)` only for a partition that some cut
+/// falls in (its end included), so at most `C − 1` per node.
 ///
 /// ```
 /// use hipa_partition::{hipa_plan_shared, Share};
@@ -257,62 +302,112 @@ pub fn hipa_plan_shared(
     nodes: usize,
     threads_per_node: usize,
     verts_per_partition: usize,
-    mut in_degrees: impl FnMut(usize) -> Vec<u32>,
+    mut ins: impl InDegrees,
 ) -> HiPaPlan {
     let mut plan = hipa_plan_with_prefix(prefix, nodes, threads_per_node, verts_per_partition);
-    let c = threads_per_node;
     for node in &mut plan.nodes {
-        let np = node.part_range.len();
-        if np == 0 || np >= c {
+        if node.part_range.is_empty() {
             continue;
         }
-        // Threads ⌈q·C/nᵢ⌉..⌈(q+1)·C/nᵢ⌉ are those with ⌊j·nᵢ/C⌋ = q.
-        let mut j = 0;
-        for (q, p) in node.part_range.clone().enumerate() {
-            let end = ((q + 1) * c).div_ceil(np);
-            let k = end - j;
-            let lo = (p * verts_per_partition).max(node.vertex_range.start as usize);
-            let hi = ((p + 1) * verts_per_partition).min(node.vertex_range.end as usize);
-            let vr = lo as u32..hi as u32;
-            let cuts =
-                if k == 1 { vec![vr.start, vr.end] } else { dst_cuts(&vr, &in_degrees(p), k) };
-            for i in 0..k {
-                let sub = cuts[i]..cuts[i + 1];
-                node.threads[j + i] = ThreadPlan {
-                    part_range: p..p + 1,
-                    edges: edges_in(prefix, &sub),
-                    vertex_range: sub,
-                    share: if k == 1 { Share::WHOLE } else { Share { index: i, of: k } },
-                };
+        let cuts = dst_cuts(node, verts_per_partition, threads_per_node, &mut ins);
+        let v0 = node.vertex_range.start;
+        let ranges: Vec<Range<u32>> =
+            cuts.windows(2).map(|w| v0 + w[0] as u32..v0 + w[1] as u32).collect();
+        let parts: Vec<Range<usize>> = ranges
+            .iter()
+            .map(|r| {
+                if r.is_empty() {
+                    // Only the node's tail runs dry: anchor there.
+                    node.part_range.end..node.part_range.end
+                } else {
+                    r.start as usize / verts_per_partition
+                        ..(r.end as usize - 1) / verts_per_partition + 1
+                }
+            })
+            .collect();
+        let share = |j: usize, p: usize| {
+            let on_p = || parts.iter().enumerate().filter(|(_, r)| r.contains(&p));
+            match on_p().count() {
+                1 => Share::WHOLE,
+                of => Share {
+                    index: on_p().position(|(t, _)| t == j).expect("a thread's own partition"),
+                    of,
+                },
             }
-            j = end;
-        }
+        };
+        node.threads = (0..threads_per_node)
+            .map(|j| {
+                let (pr, vr) = (parts[j].clone(), ranges[j].clone());
+                let (share, last_share) = if pr.is_empty() {
+                    (Share::WHOLE, Share::WHOLE)
+                } else {
+                    (share(j, pr.start), share(j, pr.end - 1))
+                };
+                ThreadPlan {
+                    edges: edges_in(prefix, &vr),
+                    part_range: pr,
+                    vertex_range: vr,
+                    share,
+                    last_share,
+                }
+            })
+            .collect();
     }
     plan
 }
 
-/// `k + 1` boundaries splitting `vr` into `k` contiguous sub-ranges of about
-/// equal in-edge count (`in_degrees[i]` belongs to vertex `vr.start + i`).
-/// Each sub-range gets at least one vertex while vertices last.
-fn dst_cuts(vr: &Range<u32>, in_degrees: &[u32], k: usize) -> Vec<u32> {
-    let m = vr.len();
-    assert_eq!(in_degrees.len(), m, "one in-degree per partition vertex");
-    let mut prefix = Vec::with_capacity(m + 1);
-    prefix.push(0u64);
-    for &d in in_degrees {
-        prefix.push(prefix.last().unwrap() + d as u64);
+/// The `C + 1` cuts of `node`'s destination range (offsets from its first
+/// vertex) into `C` contiguous ranges of about equal in-edge count: cut `i`
+/// is the first offset where the in-edges reach `i/C` of the node's, moved
+/// only as far as it takes to leave every range at least one vertex while
+/// vertices last. Partition totals locate each cut; per-vertex in-degrees
+/// are read only for the partition it falls in.
+fn dst_cuts(node: &NodePlan, vpp: usize, c: usize, ins: &mut impl InDegrees) -> Vec<usize> {
+    let m = node.vertex_range.len();
+    let p0 = node.part_range.start;
+    let mut part_prefix = vec![0u64];
+    for p in node.part_range.clone() {
+        part_prefix.push(part_prefix.last().unwrap() + ins.in_edges(p));
     }
-    let total = prefix[m];
+    let total = *part_prefix.last().unwrap();
+    // The last partition read, and its in-edge prefix.
+    let mut read: Option<(usize, Vec<u64>)> = None;
     let mut cuts = vec![0usize];
-    for i in 1..k {
-        // First cut whose prefix reaches i/k of the total.
-        let raw = prefix.partition_point(|&x| x * (k as u64) < total * i as u64);
+    for i in 1..c {
         let lo = (cuts[i - 1] + 1).min(m);
-        let hi = m.saturating_sub(k - i).max(lo);
-        cuts.push(raw.clamp(lo, hi));
+        let hi = m.saturating_sub(c - i).max(lo);
+        let reached = |x: u64| x * c as u64 >= total * i as u64;
+        let cut = if total == 0 {
+            lo
+        } else {
+            // The quota is crossed by a vertex of partition `q`, so the raw
+            // cut lies in `qs + 1..=qe`.
+            let q = part_prefix[1..].partition_point(|&x| !reached(x));
+            let (qs, qe) = (q * vpp, ((q + 1) * vpp).min(m));
+            if lo >= qe {
+                lo
+            } else if hi <= qs {
+                hi
+            } else {
+                if read.as_ref().is_none_or(|(r, _)| *r != q) {
+                    let degs = ins.in_degrees(p0 + q);
+                    assert_eq!(degs.len(), qe - qs, "one in-degree per partition vertex");
+                    let mut pre = Vec::with_capacity(degs.len() + 1);
+                    pre.push(part_prefix[q]);
+                    for d in degs {
+                        pre.push(pre.last().unwrap() + u64::from(d));
+                    }
+                    assert_eq!(pre.last(), part_prefix.get(q + 1), "in-degrees sum to in-edges");
+                    read = Some((q, pre));
+                }
+                let pre = &read.as_ref().unwrap().1;
+                (qs + pre.partition_point(|&x| !reached(x))).clamp(lo, hi)
+            }
+        };
+        cuts.push(cut);
     }
     cuts.push(m);
-    cuts.into_iter().map(|c| vr.start + c as u32).collect()
+    cuts
 }
 
 #[cfg(test)]
@@ -450,6 +545,38 @@ mod tests {
                 p = node.part_range.end;
             }
             assert_eq!(p, plan.num_partitions);
+        }
+    }
+
+    /// Three partitions on two threads (the wiki shape): the one cut falls
+    /// inside partition 1, so thread 0 holds partition 0 whole and the
+    /// first share of 1, thread 1 the second share of 1 and partition 2
+    /// whole. Only partition 1's per-vertex in-degrees are read.
+    #[test]
+    fn shared_plan_cuts_inside_a_partition() {
+        let ins = [vec![1, 1, 1, 1], vec![3, 3, 3, 3], vec![1, 1, 1, 1]];
+        let mut asked = Vec::new();
+        let plan = hipa_plan_shared(&[0; 13], 1, 2, 4, |p: usize| {
+            asked.push(p);
+            ins[p].clone()
+        });
+        // The totals come from the default sum; the cut asks for 1 again.
+        assert_eq!(asked, vec![0, 1, 2, 1]);
+        let t = &plan.nodes[0].threads;
+        assert_eq!((t[0].vertex_range.clone(), t[0].part_range.clone()), (0..6, 0..2));
+        assert_eq!((t[1].vertex_range.clone(), t[1].part_range.clone()), (6..12, 1..3));
+        assert_eq!((t[0].share_of(0), t[0].share_of(1)), (Share::WHOLE, Share { index: 0, of: 2 }));
+        assert_eq!((t[1].share_of(1), t[1].share_of(2)), (Share { index: 1, of: 2 }, Share::WHOLE));
+    }
+
+    /// A hot first or last destination holds every quota; the cuts still
+    /// leave each thread one vertex.
+    #[test]
+    fn hot_end_vertex_leaves_every_thread_a_vertex() {
+        for degs in [vec![900, 0, 0], vec![0, 0, 900]] {
+            let plan = hipa_plan_shared(&[0; 4], 1, 3, 4, |_p: usize| degs.clone());
+            let ranges: Vec<_> = plan.threads().map(|(_, _, t)| t.vertex_range.clone()).collect();
+            assert_eq!(ranges, vec![0..1, 1..2, 2..3], "{degs:?}");
         }
     }
 

@@ -233,6 +233,41 @@ fn engine_corpus_is_race_clean_and_bitwise_stable() {
     assert_engine_paths_bitwise_stable("rmat-11", &g, &cfg);
 }
 
+/// More partitions than threads, not a multiple: three partitions on two
+/// threads, so one HiPa thread holds a whole partition and a share of the
+/// next (its first and last units differ in kind). Race-clean, and bitwise
+/// equal to one thread and to the sim, under both dangling policies.
+#[test]
+fn whole_and_shared_partitions_on_one_thread_are_race_clean() {
+    use hipa::core::pcpm::PcpmLayout;
+    use hipa::partition::{degree_prefix, hipa_plan_shared};
+    let g = hipa::graph::datasets::small_test_graph(11);
+    let bytes = g.num_vertices().div_ceil(3) * 4;
+    let layout = PcpmLayout::build(g.out_csr(), bytes / 4, false);
+    let plan = hipa_plan_shared(&degree_prefix(g.out_degrees()), 1, 2, bytes / 4, &layout);
+    assert_eq!(plan.num_partitions, 3);
+    assert!(
+        plan.threads().any(|(_, _, t)| {
+            let kinds: Vec<bool> = t.part_range.clone().map(|p| t.share_of(p).of > 1).collect();
+            kinds.contains(&true) && kinds.contains(&false)
+        }),
+        "no thread holds both a whole partition and a share: {plan:?}"
+    );
+    for policy in [DanglingPolicy::Ignore, DanglingPolicy::Redistribute] {
+        let cfg = PageRankConfig::default().with_iterations(6).with_dangling(policy);
+        let nat = HiPa.run_native(&g, &cfg, &NativeOpts::new(2, bytes));
+        let one = HiPa.run_native(&g, &cfg, &NativeOpts::new(1, bytes));
+        let machine = MachineSpec::tiny_test().with_sockets(1);
+        let sim = HiPa.run_sim(
+            &g,
+            &cfg,
+            &SimOpts::new(machine).with_threads(2).with_partition_bytes(bytes),
+        );
+        assert_eq!(nat.ranks, one.ranks, "{policy:?}: 2 threads != 1 thread");
+        assert_eq!(nat.ranks, sim.ranks, "{policy:?}: native != sim");
+    }
+}
+
 /// Shape extremes under both dangling policies: a cycle, a star, a path
 /// whose last vertex dangles, an R-MAT graph and an Erdős–Rényi graph.
 #[test]

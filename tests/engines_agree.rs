@@ -67,11 +67,20 @@ fn every_engine_sim_is_bitwise_identical_to_native() {
             let nat = e.run_native(&g, &cfg, &NativeOpts::new(threads, 512));
             assert_eq!(sim.ranks, nat.ranks, "{} on {gname}: sim != native", e.name());
         }
-        // Fewer partitions than threads: one partition shared by 2, 3 and 4
-        // threads, and two partitions for three threads (one shared, one
-        // not). The one-socket machine takes any of those thread counts.
+        // Few partitions: one partition shared by 2, 3 and 4 threads, two
+        // partitions for three threads, and more partitions than threads but
+        // not a multiple (three on two, five on three), where HiPa's cuts
+        // fall inside partitions. The one-socket machine takes any of those
+        // thread counts.
         let n = g.num_vertices();
-        let shapes = [(n * 4, 2), (n * 4, 3), (n * 4, 4), (n.div_ceil(2) * 4, 3)];
+        let shapes = [
+            (n * 4, 2),
+            (n * 4, 3),
+            (n * 4, 4),
+            (n.div_ceil(2) * 4, 3),
+            (n.div_ceil(3) * 4, 2),
+            (n.div_ceil(5) * 4, 3),
+        ];
         for policy in [DanglingPolicy::Ignore, DanglingPolicy::Redistribute] {
             let cfg = cfg.with_dangling(policy);
             for e in all_engines() {

@@ -2,7 +2,7 @@
 
 use hipa::partition::{
     degree_prefix, edge_balanced, edges_in, hipa_plan, hipa_plan_shared, hipa_plan_with_prefix,
-    vertex_balanced, LookupTable, Share,
+    vertex_balanced, InDegrees, LookupTable, Share,
 };
 use proptest::prelude::*;
 
@@ -90,15 +90,16 @@ proptest! {
         prop_assert_eq!(e, total_edges);
     }
 
-    /// The level below the partition. A node with at least as many
-    /// partitions as threads keeps `hipa_plan_with_prefix`'s plan and never
-    /// asks for in-degrees. On a node with fewer, every thread holds one
-    /// partition; each partition's sharers are consecutive, numbered
-    /// `0..k` of `k`, and their destination sub-ranges tile it exactly once,
-    /// contiguous and non-overlapping; none is empty when the partition has
-    /// at least `k` vertices.
+    /// The shared plan, on any node shape. Its thread ranges tile each node
+    /// in thread order, none empty while vertices last; each partition's
+    /// sharers are consecutive threads numbered `0..k` of `k`, and every
+    /// partition between a thread's first and last is whole; `edges` counts
+    /// the range's out-edges; no thread takes more than `⌈Eᵢ/C⌉` in-edges
+    /// plus the node's largest in-degree; per-vertex in-degrees are asked
+    /// at most once per partition, and only of a partition that a cut falls
+    /// in (its end included). One thread per node is Eq. 4's plan.
     #[test]
-    fn shared_plan_splits_only_short_nodes(
+    fn shared_plan_cuts_nodes_by_in_edges(
         degs in degrees_strategy(),
         ins in prop::collection::vec(0u32..40, 1..64),
         nodes in 1usize..4,
@@ -107,47 +108,64 @@ proptest! {
     ) {
         let prefix = degree_prefix(&degs);
         let base = hipa_plan_with_prefix(&prefix, nodes, tpn, vpp);
-        let mut asked = Vec::new();
-        let plan = hipa_plan_shared(&prefix, nodes, tpn, vpp, |p| {
-            asked.push(p);
-            base.partition_vertices(p).map(|v| ins[v as usize % ins.len()]).collect()
-        });
+        // Cubed: a few hot destinations, as in power-law graphs, so one
+        // vertex can hold several threads' quotas.
+        let in_deg = |v: u32| ins[v as usize % ins.len()].pow(3);
+        let mut src = Ins { asked: Vec::new(), degs: |p: usize| {
+            base.partition_vertices(p).map(in_deg).collect()
+        } };
+        let plan = hipa_plan_shared(&prefix, nodes, tpn, vpp, &mut src);
         prop_assert_eq!(plan.nodes.len(), base.nodes.len());
+        let mut asked = src.asked.clone();
+        asked.sort();
+        asked.dedup();
+        prop_assert_eq!(asked.len(), src.asked.len(), "a partition asked twice");
         for (node, old) in plan.nodes.iter().zip(&base.nodes) {
-            let np = old.part_range.len();
-            if np == 0 || np >= tpn {
-                prop_assert_eq!(node, old);
-                prop_assert!(asked.iter().all(|p| !old.part_range.contains(p)));
-                continue;
-            }
             prop_assert_eq!(&node.part_range, &old.part_range);
+            prop_assert_eq!(&node.vertex_range, &old.vertex_range);
             prop_assert_eq!(node.threads.len(), tpn);
-            let mut j = 0;
-            for p in node.part_range.clone() {
-                let sharers: Vec<_> =
-                    node.threads.iter().skip(j).take_while(|t| t.part_range == (p..p + 1)).collect();
-                let k = sharers.len();
-                prop_assert!(k >= 1, "partition {} has no thread", p);
-                let pv = base.partition_vertices(p);
-                let pv = pv.start.max(node.vertex_range.start)..pv.end.min(node.vertex_range.end);
-                let mut v = pv.start;
-                for (i, t) in sharers.iter().enumerate() {
-                    let want = if k == 1 { Share::WHOLE } else { Share { index: i, of: k } };
-                    prop_assert_eq!(t.share, want);
-                    prop_assert_eq!(t.vertex_range.start, v, "sub-ranges must be contiguous");
-                    prop_assert!(t.vertex_range.end >= v);
-                    v = t.vertex_range.end;
-                    prop_assert_eq!(t.edges, edges_in(&prefix, &t.vertex_range));
-                    if pv.len() >= k {
-                        prop_assert!(!t.vertex_range.is_empty(), "idle sharer of partition {}", p);
-                    }
+            let node_in: u64 = node.vertex_range.clone().map(|v| in_deg(v) as u64).sum();
+            let max_in = node.vertex_range.clone().map(in_deg).max().unwrap_or(0) as u64;
+            let mut v = node.vertex_range.start;
+            for t in &node.threads {
+                let vr = &t.vertex_range;
+                prop_assert_eq!(vr.start, v, "ranges must tile the node in thread order");
+                prop_assert!(vr.end >= v);
+                v = vr.end;
+                prop_assert_eq!(t.edges, edges_in(&prefix, vr));
+                if node.vertex_range.len() >= tpn {
+                    prop_assert!(!vr.is_empty(), "idle thread on a node of {} vertices",
+                        node.vertex_range.len());
                 }
-                prop_assert_eq!(v, pv.end, "sub-ranges must tile partition {}", p);
-                j += k;
+                if !vr.is_empty() {
+                    let want = vr.start as usize / vpp..(vr.end as usize - 1) / vpp + 1;
+                    prop_assert_eq!(&t.part_range, &want);
+                }
+                let t_in: u64 = vr.clone().map(|v| in_deg(v) as u64).sum();
+                prop_assert!(t_in <= node_in.div_ceil(tpn as u64) + max_in,
+                    "{} in-edges of {} over {} threads", t_in, node_in, tpn);
             }
-            prop_assert_eq!(j, tpn, "every thread holds one partition");
+            prop_assert_eq!(v, node.vertex_range.end, "ranges must tile the node");
+            for p in node.part_range.clone() {
+                let on_p: Vec<usize> =
+                    (0..tpn).filter(|&j| node.threads[j].part_range.contains(&p)).collect();
+                let k = on_p.len();
+                prop_assert!(k >= 1, "partition {} has no thread", p);
+                prop_assert_eq!(on_p[k - 1] - on_p[0] + 1, k, "sharers of {} not consecutive", p);
+                for (i, &j) in on_p.iter().enumerate() {
+                    let want = if k == 1 { Share::WHOLE } else { Share { index: i, of: k } };
+                    prop_assert_eq!(node.threads[j].share_of(p), want);
+                }
+            }
+            // Thread boundaries strictly inside the node.
+            let cuts: Vec<u32> = node.threads[1..].iter().map(|t| t.vertex_range.start).collect();
+            for &p in src.asked.iter().filter(|p| node.part_range.contains(p)) {
+                let pv = base.partition_vertices(p);
+                prop_assert!(cuts.iter().any(|&c| pv.start < c && c <= pv.end),
+                    "asked in-degrees of partition {} ({:?}), cuts {:?}", p, pv, cuts);
+            }
         }
-        if base.nodes.iter().all(|n| n.part_range.is_empty() || n.part_range.len() >= tpn) {
+        if tpn == 1 {
             prop_assert_eq!(plan, base);
         }
     }
@@ -178,5 +196,22 @@ proptest! {
             }
         }
         prop_assert!(owned.iter().all(|&c| c == 1), "each partition owned exactly once");
+    }
+}
+
+/// A shared plan's in-edge source that records which partitions it was
+/// asked per-vertex in-degrees of; totals are read without asking.
+struct Ins<F> {
+    asked: Vec<usize>,
+    degs: F,
+}
+
+impl<F: Fn(usize) -> Vec<u32>> InDegrees for &mut Ins<F> {
+    fn in_degrees(&mut self, p: usize) -> Vec<u32> {
+        self.asked.push(p);
+        (self.degs)(p)
+    }
+    fn in_edges(&mut self, p: usize) -> u64 {
+        (self.degs)(p).iter().map(|&d| d as u64).sum()
     }
 }
