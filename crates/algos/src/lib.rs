@@ -1,5 +1,6 @@
 //! Extensions of the HiPa methodology beyond PageRank — the paper's §6
-//! future-work list: SpMV, PageRank-Delta, and BFS.
+//! future-work list: SpMV, PageRank-Delta and BFS — plus personalized
+//! PageRank and top-k for the rank server.
 //!
 //! Each algorithm comes with a plain sequential reference and a
 //! partition-centric implementation built on the same [`hipa_core::PcpmLayout`]
@@ -13,20 +14,16 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod bfs;
-pub mod cc;
 pub mod ppr;
 pub mod prdelta;
 pub mod spmv;
-pub mod spmv_sim;
 pub mod topk;
 
 pub use bfs::{bfs_levels, bfs_partition_centric};
-pub use cc::{label_propagation, wcc_by_propagation, LabelPropagation};
 pub use ppr::{
     personalized_from_seed, personalized_pagerank, teleport_from_seeds, PersonalizedConfig,
     PersonalizedResult, PprSolver,
 };
 pub use prdelta::{pagerank_delta, PrDeltaConfig, PrDeltaResult};
 pub use spmv::{spmv_partition_centric, spmv_reference, SpmvWorkspace};
-pub use spmv_sim::{spmv_sim, SpmvSimRun};
 pub use topk::{rank_order, top_k};

@@ -132,19 +132,6 @@ impl PprSolver {
         self.solve_slices(&[teleport]).pop().expect("batch of one")
     }
 
-    /// Personalization concentrated on one seed vertex (panics on an
-    /// out-of-range seed, like [`personalized_from_seed`]).
-    pub fn solve_seed(&mut self, seed: u32) -> PersonalizedResult {
-        let n = self.ws.num_vertices();
-        assert!(
-            (seed as usize) < n,
-            "personalization seed {seed} out of range: graph has {n} vertices"
-        );
-        let mut p = vec![0.0f32; n];
-        p[seed as usize] = 1.0;
-        self.solve(&p)
-    }
-
     /// Solves a batch of preference vectors through shared multi-vector
     /// sweeps: each power iteration makes **one** pass over the graph for
     /// the whole batch, amortizing the graph traffic across all
@@ -471,8 +458,10 @@ mod tests {
     fn solver_reuse_is_bitwise_stable() {
         let g = hipa_graph::datasets::small_test_graph(132);
         let mut solver = PprSolver::new(&g, &PersonalizedConfig::default());
-        let a = solver.solve_seed(3);
-        let b = solver.solve_seed(3);
+        let mut seed = vec![0.0f32; g.num_vertices()];
+        seed[3] = 1.0;
+        let a = solver.solve(&seed);
+        let b = solver.solve(&seed);
         assert_eq!(a.ranks, b.ranks, "repeat solves on one solver must be bitwise equal");
         let one_shot = personalized_from_seed(&g, 3, &PersonalizedConfig::default());
         assert_eq!(a.ranks, one_shot.ranks, "solver equals the one-shot path");

@@ -89,10 +89,6 @@ impl SpmvWorkspace {
         &self.prepared
     }
 
-    pub fn num_vertices(&self) -> usize {
-        self.prepared.num_vertices
-    }
-
     /// One SpMV: `y = Aᵀx`.
     pub fn run(&mut self, x: &[f32]) -> Vec<f32> {
         let n = self.prepared.num_vertices;
@@ -137,23 +133,6 @@ impl SpmvWorkspace {
             }),
             None => prep.thread_dsts.iter().cloned().for_each(pull),
         }
-    }
-
-    /// Convenience batch form: one input vector per element, outputs in the
-    /// same order.
-    pub fn run_batch(&mut self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let n = self.prepared.num_vertices;
-        let k = xs.len();
-        let mut flat_x = vec![0.0f32; k * n];
-        for (b, x) in xs.iter().enumerate() {
-            assert_eq!(x.len(), n, "vector length mismatch in batch slot {b}");
-            for (v, &xv) in x.iter().enumerate() {
-                flat_x[v * k + b] = xv;
-            }
-        }
-        let mut flat_y = vec![0.0f32; k * n];
-        self.run_batch_into(&flat_x, &mut flat_y, k);
-        (0..k).map(|b| flat_y.iter().skip(b).step_by(k).copied().collect()).collect()
     }
 }
 
@@ -347,20 +326,6 @@ mod tests {
         let mut ws = SpmvWorkspace::new(&g, 4, 128);
         for round in 0..3 {
             assert_eq!(ws.run(&x), one_shot, "round {round}");
-        }
-    }
-
-    #[test]
-    fn batch_matches_solo_runs_bitwise() {
-        let g = hipa_graph::datasets::small_test_graph(83);
-        let n = g.num_vertices();
-        let xs: Vec<Vec<f32>> = (0..5)
-            .map(|b| (0..n).map(|i| ((i * (b + 2) + b) % 9) as f32 * 0.125).collect())
-            .collect();
-        let mut ws = SpmvWorkspace::new(&g, 3, 256);
-        let batch = ws.run_batch(&xs);
-        for (b, x) in xs.iter().enumerate() {
-            assert_eq!(batch[b], ws.run(x), "batch slot {b}");
         }
     }
 

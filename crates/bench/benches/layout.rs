@@ -1,9 +1,9 @@
 //! Criterion benches of the preprocessing structures: the hierarchical plan
-//! (Eq. 2–4), the PCPM layout build (compression), and the lookup table.
+//! (Eq. 2–4), the PCPM layout build (compression) and the CSR build.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hipa_core::PcpmLayout;
-use hipa_partition::{hipa_plan, LookupTable};
+use hipa_partition::hipa_plan;
 use std::time::Duration;
 
 fn bench_layout(c: &mut Criterion) {
@@ -18,10 +18,6 @@ fn bench_layout(c: &mut Criterion) {
         });
     }
     group.bench_function("hipa_plan", |b| b.iter(|| hipa_plan(g.out_degrees(), 2, 8, 64)));
-    group.bench_function("lookup_table", |b| {
-        let plan = hipa_plan(g.out_degrees(), 2, 8, 64);
-        b.iter(|| LookupTable::from_plan(&plan))
-    });
     group.bench_function("csr_build", |b| {
         let el = hipa_graph::gen::rmat(&hipa_graph::gen::RmatParams::graph500(10, 8), 3);
         b.iter(|| hipa_graph::Csr::from_edge_list(&el))

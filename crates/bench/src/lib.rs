@@ -62,26 +62,11 @@ impl Method {
         self.engine.name()
     }
 
-    /// Like [`Self::run`] but with a convergence tolerance: the engine stops
-    /// as soon as the shared L1 rule fires (`SimRun::converged`), with
-    /// `iterations` as the cap.
-    pub fn run_to_tolerance(
-        &self,
-        g: &DiGraph,
-        machine: MachineSpec,
-        iterations: usize,
-        tolerance: f32,
-    ) -> SimRun {
-        let opts = SimOpts::new(machine)
-            .with_threads(self.threads)
-            .with_partition_bytes(scaled_partition(self.partition_paper_bytes));
-        let cfg = PageRankConfig::default().with_iterations(iterations).with_tolerance(tolerance);
-        self.engine.run_sim(g, &cfg, &opts)
-    }
-
-    /// Like [`Self::run_to_tolerance`] but with the trace recorder enabled,
-    /// so the returned run carries its `RunTrace` (per-phase cycle spans,
-    /// the residual trajectory, and the simulator's memory counters).
+    /// Like [`Self::run`] but with a convergence tolerance (the engine stops
+    /// as soon as the shared L1 rule fires, `SimRun::converged`, with
+    /// `iterations` as the cap) and the trace recorder enabled, so the
+    /// returned run carries its `RunTrace` (per-phase cycle spans, the
+    /// residual trajectory, and the simulator's memory counters).
     pub fn run_to_tolerance_traced(
         &self,
         g: &DiGraph,

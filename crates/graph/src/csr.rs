@@ -51,40 +51,6 @@ impl Csr {
         Self::from_edges(el.num_vertices(), el.edges())
     }
 
-    /// Parallel variant of [`Self::from_edges`]: the counting sort is
-    /// sequential (O(V + E) and memory-bound) but the per-vertex adjacency
-    /// sorting — the dominant cost on skewed graphs — fans out over a rayon
-    /// pool. Produces exactly the same CSR as the sequential builder.
-    pub fn from_edges_parallel(num_vertices: usize, edges: &[crate::Edge]) -> Self {
-        use rayon::prelude::*;
-        let mut offsets = vec![0u64; num_vertices + 1];
-        for e in edges {
-            offsets[e.src as usize + 1] += 1;
-        }
-        for i in 0..num_vertices {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut targets = vec![0 as VertexId; edges.len()];
-        let mut cursor = offsets.clone();
-        for e in edges {
-            let c = &mut cursor[e.src as usize];
-            targets[c.to_owned() as usize] = e.dst;
-            *c += 1;
-        }
-        // Split the target array into disjoint per-vertex runs, then sort
-        // them in parallel.
-        let mut runs: Vec<&mut [VertexId]> = Vec::with_capacity(num_vertices);
-        let mut rest: &mut [VertexId] = &mut targets;
-        for v in 0..num_vertices {
-            let len = (offsets[v + 1] - offsets[v]) as usize;
-            let (run, tail) = rest.split_at_mut(len);
-            runs.push(run);
-            rest = tail;
-        }
-        runs.par_iter_mut().for_each(|r| r.sort_unstable());
-        Csr { offsets, targets }
-    }
-
     /// This CSR with `edges` (`(src, dst)` pairs, any order, repeats
     /// allowed) added: one O(V + E) copy that merges each new target into
     /// its sorted adjacency run. Equals [`Self::from_edges`] of this CSR's
@@ -340,23 +306,6 @@ mod tests {
         let g = DiGraph::from_edge_list(&EdgeList::new(0, vec![]));
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn parallel_builder_matches_sequential() {
-        let el = crate::datasets::small_test_graph(99);
-        let edges: Vec<crate::Edge> =
-            el.out_csr().iter_edges().map(|(s, d)| crate::Edge::new(s, d)).collect();
-        let seq = Csr::from_edges(el.num_vertices(), &edges);
-        let par = Csr::from_edges_parallel(el.num_vertices(), &edges);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn parallel_builder_empty_and_tiny() {
-        assert_eq!(Csr::from_edges_parallel(0, &[]), Csr::from_edges(0, &[]));
-        let e = [crate::Edge::new(0, 2), crate::Edge::new(0, 1)];
-        assert_eq!(Csr::from_edges_parallel(3, &e).neighbors(0), &[1, 2]);
     }
 
     #[test]

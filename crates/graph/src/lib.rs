@@ -5,9 +5,10 @@
 //! * [`EdgeList`] — a flat list of directed edges, the interchange format
 //!   produced by the generators and the I/O readers.
 //! * [`Csr`] — compressed sparse row adjacency, the canonical in-memory
-//!   representation. A [`DiGraph`] bundles the out-CSR with its transpose
-//!   (the in-CSR) since pull-based engines traverse in-edges while push-based
-//!   engines traverse out-edges. The transpose is built on first use.
+//!   representation, built by one counting sort from an edge list. A
+//!   [`DiGraph`] bundles the out-CSR with its transpose (the in-CSR) since
+//!   pull-based engines traverse in-edges while push-based engines traverse
+//!   out-edges. The transpose is built on first use.
 //! * [`gen`] — deterministic graph generators (RMAT/Kronecker, Zipf
 //!   power-law, Erdős–Rényi, and small structured graphs for tests).
 //! * [`datasets`] — scaled synthetic stand-ins for the six graphs of the
@@ -23,7 +24,6 @@
 //! 4 bytes wide: [`VertexId`] is `u32` and [`Rank`] is `f32`.
 #![forbid(unsafe_code)]
 
-pub mod builder;
 pub mod components;
 pub mod csr;
 pub mod datasets;
@@ -33,7 +33,6 @@ pub mod io;
 pub mod reorder;
 pub mod stats;
 
-pub use builder::CsrBuilder;
 pub use csr::{Csr, DiGraph};
 pub use edgelist::{Edge, EdgeList};
 

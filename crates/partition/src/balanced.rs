@@ -1,28 +1,10 @@
-//! Vertex-balanced and edge-balanced contiguous partitioning (paper §3.1).
+//! Edge-balanced contiguous partitioning (paper §3.1, Eq. 2).
 //!
-//! Both preserve vertex order and produce disjoint ranges covering `0..n`
-//! (the paper's ∩ Vᵢ = ∅, ∪ Vᵢ = V conditions). Edge balancing follows
-//! Eq. 2: every part receives ≈ |E|/N out-edges, so vertex counts vary on
-//! skewed graphs.
+//! It preserves vertex order and produces disjoint ranges covering `0..n`
+//! (the paper's ∩ Vᵢ = ∅, ∪ Vᵢ = V conditions). Every part receives
+//! ≈ |E|/N out-edges, so vertex counts vary on skewed graphs.
 
 use std::ops::Range;
-
-/// Splits `0..num_vertices` into `parts` contiguous ranges of (nearly) equal
-/// vertex count. Earlier parts get the remainder, as in block distribution.
-pub fn vertex_balanced(num_vertices: usize, parts: usize) -> Vec<Range<u32>> {
-    assert!(parts >= 1, "need at least one part");
-    let base = num_vertices / parts;
-    let rem = num_vertices % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for i in 0..parts {
-        let len = base + usize::from(i < rem);
-        out.push(start as u32..(start + len) as u32);
-        start += len;
-    }
-    debug_assert_eq!(start, num_vertices);
-    out
-}
 
 /// Splits `0..degrees.len()` into `parts` contiguous ranges each holding
 /// ≈ `|E|/parts` out-edges (Eq. 2). Boundary `i` is the smallest vertex
@@ -71,27 +53,7 @@ mod tests {
     }
 
     #[test]
-    fn vertex_balanced_even_split() {
-        let r = vertex_balanced(10, 2);
-        assert_eq!(r, vec![0..5, 5..10]);
-    }
-
-    #[test]
-    fn vertex_balanced_remainder_goes_first() {
-        let r = vertex_balanced(10, 3);
-        assert_eq!(r, vec![0..4, 4..7, 7..10]);
-        check_cover(&r, 10);
-    }
-
-    #[test]
-    fn vertex_balanced_more_parts_than_vertices() {
-        let r = vertex_balanced(2, 4);
-        check_cover(&r, 2);
-        assert_eq!(r.iter().filter(|x| x.is_empty()).count(), 2);
-    }
-
-    #[test]
-    fn edge_balanced_uniform_degrees_equals_vertex_balanced() {
+    fn edge_balanced_uniform_degrees_split_evenly() {
         let degs = vec![2u32; 12];
         let r = edge_balanced(&degs, 3);
         assert_eq!(r, vec![0..4, 4..8, 8..12]);

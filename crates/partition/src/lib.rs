@@ -1,9 +1,7 @@
 //! Graph partitioning for the HiPa reproduction.
 //!
-//! Three partitioners, in increasing order of paper-specificity:
+//! Two partitioners, in increasing order of paper-specificity:
 //!
-//! * [`vertex_balanced`] — equal vertex counts per part (the "intuitive
-//!   idea" §3.1 dismisses for skewed graphs);
 //! * [`edge_balanced`] — equal out-edge counts per part, Eq. 2, as used by
 //!   Polymer-style NUMA-aware systems;
 //! * [`hipa_plan`] — the paper's hierarchical partitioning: Eq. 3 rounds the
@@ -15,22 +13,19 @@
 //!   threads by in-edges, down to the level below the partition (a
 //!   partition a cut falls in is shared by destination sub-range).
 //!
-//! [`LookupTable`] is the 2-level table of Fig. 3 (thread → partition range,
-//! partition → vertex range).
+//! The resulting [`HiPaPlan`] is the 2-level table of Fig. 3: each
+//! [`ThreadPlan`] names its partition range, and
+//! [`HiPaPlan::partition_vertices`] maps a partition to its vertex range.
 #![forbid(unsafe_code)]
 
 pub mod balanced;
-pub mod lookup;
 pub mod plan;
-pub mod quality;
 
-pub use balanced::{edge_balanced, edge_balanced_with_prefix, vertex_balanced};
-pub use lookup::LookupTable;
+pub use balanced::{edge_balanced, edge_balanced_with_prefix};
 pub use plan::{
     hipa_plan, hipa_plan_shared, hipa_plan_with_prefix, HiPaPlan, InDegrees, NodePlan, Share,
     ThreadPlan,
 };
-pub use quality::{plan_quality, PlanQuality};
 
 use std::ops::Range;
 

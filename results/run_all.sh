@@ -18,7 +18,7 @@ run_step() {
   echo "=== $name done $(date +%T) ==="
 }
 
-for bin in table1 table2 fig5 fig6 fig7 table3 overheads single_node ablations convergence trace kernels serve; do
+for bin in table1 table2 fig5 fig6 fig7 table3 overheads single_node ablations reordering convergence trace kernels serve; do
   run_step "$bin" cargo run --release -q -p hipa-bench --bin "$bin"
 done
 

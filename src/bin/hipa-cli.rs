@@ -16,6 +16,9 @@ use hipa::prelude::*;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    if let Some(note) = build_note() {
+        eprintln!("{note}");
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
@@ -26,6 +29,13 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The startup note of a binary built with the race detector compiled in:
+/// every shared-slice access is then checked, so wall-clock timings are
+/// many times those of a plain build.
+fn build_note() -> Option<&'static str> {
+    cfg!(feature = "check-hb").then_some("built with check-hb: timings are not representative")
 }
 
 const USAGE: &str = "usage:
@@ -537,9 +547,19 @@ fn convert(a: &Args) -> Result<()> {
     Ok(())
 }
 
+/// `--source`, checked against the graph before it is narrowed to a vertex
+/// id.
+fn bfs_source(a: &Args, num_vertices: usize) -> Result<u32> {
+    let source = a.get_usize("source", 0)?;
+    if source >= num_vertices {
+        return Err(format!("--source {source}: the graph has {num_vertices} vertices"));
+    }
+    Ok(source as u32)
+}
+
 fn bfs(a: &Args) -> Result<()> {
     let g = load_graph(a.positional.first().ok_or("bfs: need a graph")?)?;
-    let source = a.get_usize("source", 0)? as u32;
+    let source = bfs_source(a, g.num_vertices())?;
     let levels = hipa::algos::bfs_partition_centric(&g, source, 64 * 1024 / 4);
     let reached = levels.iter().filter(|&&l| l != hipa::algos::bfs::UNREACHED).count();
     let max = levels.iter().filter(|&&l| l != hipa::algos::bfs::UNREACHED).max().unwrap_or(&0);
@@ -603,6 +623,26 @@ mod tests {
             assert!(check_sim_threads("HiPa", ok, &skylake).is_ok(), "{ok} threads");
         }
         assert!(check_sim_threads("p-PR", 3, &skylake).is_ok());
+    }
+
+    #[test]
+    fn bfs_source_must_name_a_vertex() {
+        let args = |v: &str| Args::parse(&["--source".to_string(), v.to_string()]).unwrap();
+        assert_eq!(bfs_source(&args("4"), 5).unwrap(), 4);
+        assert_eq!(bfs_source(&Args::parse(&[]).unwrap(), 5).unwrap(), 0);
+        for bad in ["5", "4294967296"] {
+            let err = bfs_source(&args(bad), 5).unwrap_err();
+            assert!(err.contains("5 vertices"), "{err}");
+        }
+        assert!(bfs_source(&Args::parse(&[]).unwrap(), 0).is_err(), "an empty graph has no source");
+    }
+
+    #[test]
+    fn check_hb_builds_say_so() {
+        assert_eq!(build_note().is_some(), cfg!(feature = "check-hb"));
+        if let Some(note) = build_note() {
+            assert!(note.contains("timings are not representative"), "{note}");
+        }
     }
 
     #[test]

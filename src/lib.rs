@@ -9,8 +9,8 @@
 //! * [`numasim`] — a deterministic NUMA multicore simulator (cache
 //!   hierarchy, page placement, OS thread-placement model, bandwidth
 //!   roofline) substituting for the paper's two Xeon testbeds;
-//! * [`partition`] — the hierarchical partitioner (Eq. 2–4) and the 2-level
-//!   lookup table (Fig. 3);
+//! * [`partition`] — the hierarchical partitioner (Eq. 2–4), whose plan is
+//!   the 2-level lookup table of Fig. 3;
 //! * [`core`] — the HiPa engine itself (thread-data pinning, compressed
 //!   scatter/gather, partition-mapped layout) with bit-identical native and
 //!   simulated execution paths;

@@ -2,7 +2,7 @@
 
 use hipa::partition::{
     degree_prefix, edge_balanced, edges_in, hipa_plan, hipa_plan_shared, hipa_plan_with_prefix,
-    vertex_balanced, InDegrees, LookupTable, Share,
+    InDegrees, Share,
 };
 use proptest::prelude::*;
 
@@ -12,22 +12,6 @@ fn degrees_strategy() -> impl Strategy<Value = Vec<u32>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Vertex-balanced parts tile 0..n and differ in size by at most one.
-    #[test]
-    fn vertex_balanced_tiles_and_balances(n in 0usize..5000, parts in 1usize..64) {
-        let r = vertex_balanced(n, parts);
-        prop_assert_eq!(r.len(), parts);
-        let mut expect = 0u32;
-        for range in &r {
-            prop_assert_eq!(range.start, expect);
-            expect = range.end;
-        }
-        prop_assert_eq!(expect as usize, n);
-        let sizes: Vec<usize> = r.iter().map(|x| x.len()).collect();
-        let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-        prop_assert!(max - min <= 1);
-    }
 
     /// Edge-balanced parts tile the vertex space and each part's edge count
     /// deviates from the quota by at most one vertex's degree.
@@ -170,9 +154,10 @@ proptest! {
         }
     }
 
-    /// The lookup table is consistent with its plan: every partition has
-    /// exactly one owning thread and thread vertex ranges concatenate
-    /// their partitions.
+    /// The plan is Fig. 3's 2-level lookup table (thread → partition range,
+    /// partition → vertex range), and it is consistent: every partition has
+    /// exactly one owning thread, and a thread's vertex range is the
+    /// concatenation of its partitions' vertex ranges.
     #[test]
     fn lookup_table_consistent(
         degs in degrees_strategy(),
@@ -181,18 +166,17 @@ proptest! {
         vpp in 1usize..48,
     ) {
         let plan = hipa_plan(&degs, nodes, tpn, vpp);
-        let lt = LookupTable::from_plan(&plan);
-        prop_assert_eq!(lt.num_partitions(), plan.num_partitions);
         let mut owned = vec![0u32; plan.num_partitions];
-        for t in 0..lt.num_threads() {
-            for p in lt.partitions_of(t) {
+        for (_, _, t) in plan.threads() {
+            for p in t.part_range.clone() {
                 owned[p] += 1;
             }
-            let vr = lt.thread_vertices(t);
-            let parts = lt.partitions_of(t);
-            if !parts.is_empty() {
-                prop_assert_eq!(vr.start, lt.vertices_of(parts.start).start);
-                prop_assert_eq!(vr.end, lt.vertices_of(parts.end - 1).end);
+            let parts = &t.part_range;
+            if parts.is_empty() {
+                prop_assert!(t.vertex_range.is_empty());
+            } else {
+                prop_assert_eq!(t.vertex_range.start, plan.partition_vertices(parts.start).start);
+                prop_assert_eq!(t.vertex_range.end, plan.partition_vertices(parts.end - 1).end);
             }
         }
         prop_assert!(owned.iter().all(|&c| c == 1), "each partition owned exactly once");
