@@ -21,10 +21,33 @@
 //! values without summing them, and each member's sums keep the solo
 //! order, so every batch member's result is bitwise identical to a solo
 //! run.
+//!
+//! A sweep is one pass: the pull job that owns a destination applies the
+//! update there (HiPa §3.3's shape — each thread finishes its own vertex
+//! range between barriers), writing the new rank and the next sweep's
+//! input `rank ⊘ outdeg` into two buffers that swap with the current ones
+//! after the sweep. The jobs' outputs are disjoint `&mut` rows of those
+//! buffers, one per destination range (`spmv::job_rows`), and no job reads
+//! them during the sweep: the pull reads the current input, the epilogue
+//! the current ranks. The calling thread runs one range itself.
+//!
+//! Two f64 sums per member decide result bits, and both keep the ascending
+//! vertex order of a full serial scan:
+//! - the dangling mass, a serial walk over the precomputed dangling list
+//!   before each sweep (O(dangling), not O(n));
+//! - the L1 delta, which only decides convergence. Each job adds its own
+//!   range's terms and the jobs' sums are added in job order. Any two
+//!   summation orders of `n` non-negative terms lie within a small slack
+//!   of each other (`surely_below`), so that sum settles "below the
+//!   tolerance or not" exactly as the ascending sum would, except within
+//!   the slack; there the ascending sum is recomputed from the two rank
+//!   buffers. So no
+//!   serial O(n) pass is left in a sweep, and no iteration count moves.
 
-use crate::spmv::SpmvWorkspace;
+use crate::spmv::{job_rows, Epilogue, SpmvWorkspace};
 use hipa_core::PcpmPrepared;
 use hipa_graph::DiGraph;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration for personalized PageRank.
@@ -144,11 +167,13 @@ impl PprSolver {
 
     /// The batch solve. Every per-vertex array is vertex-interleaved over
     /// the `w` members still iterating (`rank[v*w + b]`), so each power
-    /// iteration is one [`SpmvWorkspace::run_batch_into`] sweep at width
-    /// `w`. A member that converges has its ranks copied out and the rest
+    /// iteration is one [`SpmvWorkspace::sweep`] at width `w` whose
+    /// [`Apply`] epilogues write every destination's new rank and next
+    /// input. A member that converges has its ranks copied out and the rest
     /// re-packed to width `w - 1`. Re-packing moves values, never sums
-    /// them, and each member's dangling and delta sums still run in
-    /// ascending vertex order, so no width changes any result bit.
+    /// them, and each member's convergence test and dangling mass are those
+    /// of f64 sums in ascending vertex order, so no width or thread count
+    /// changes any result bit.
     fn solve_slices(&mut self, teleports: &[&[f32]]) -> Vec<PersonalizedResult> {
         let prep = Arc::clone(self.ws.prepared());
         let n = prep.num_vertices;
@@ -164,63 +189,160 @@ impl PprSolver {
             }
         }
 
-        let d = self.cfg.damping;
         let mut rank = p.clone();
-        let mut x = vec![0.0f32; w * n];
-        let mut y = vec![0.0f32; w * n];
+        // The sweep's input `rank ⊘ outdeg`; after the first sweep the
+        // epilogues write it alongside the new ranks.
+        let mut x: Vec<f32> = (0..w * n).map(|i| rank[i] * prep.inv_deg[i / w]).collect();
+        let mut next_rank = vec![0.0f32; w * n];
+        let mut next_x = vec![0.0f32; w * n];
+        let mut dangling = vec![0.0f32; w];
         // `live[b]` is the teleport index of interleaved slot `b`.
         let mut live: Vec<usize> = (0..w).collect();
         let mut results: Vec<Option<PersonalizedResult>> = vec![None; w];
-        let mut dangling = vec![0.0f64; w];
-        let mut delta = vec![0.0f64; w];
         for iter in 1..=self.cfg.iterations {
             if w == 0 {
                 break;
             }
-            for (v, (xv, rv)) in x.chunks_exact_mut(w).zip(rank.chunks_exact(w)).enumerate() {
-                for (xb, &rb) in xv.iter_mut().zip(rv) {
-                    *xb = rb * prep.inv_deg[v];
-                }
-            }
-            self.ws.run_batch_into(&x, &mut y, w);
-            // Dangling mass from the precomputed list — ascending, so each
-            // member's f64 sum matches the full scan it replaces.
-            dangling[..w].fill(0.0);
             if self.cfg.redistribute_dangling {
-                for &v in &prep.dangling {
-                    for (s, &r) in dangling.iter_mut().zip(&rank[v as usize * w..][..w]) {
-                        *s += r as f64;
-                    }
+                for (b, mass) in dangling.iter_mut().enumerate().take(w) {
+                    *mass = dangling_mass(&prep.dangling, &rank, w, b);
                 }
             }
-            delta[..w].fill(0.0);
-            for ((rv, pv), yv) in
-                rank.chunks_exact_mut(w).zip(p.chunks_exact(w)).zip(y.chunks_exact(w))
-            {
-                for b in 0..w {
-                    let nv = (1.0 - d) * pv[b] + d * (yv[b] + (dangling[b] as f32) * pv[b]);
-                    delta[b] += (nv - rv[b]).abs() as f64;
-                    rv[b] = nv;
-                }
-            }
-            let converged = |b: usize| self.cfg.tolerance.is_some_and(|tol| delta[b] < tol as f64);
-            if (0..w).any(converged) {
-                let keep: Vec<usize> = (0..w).filter(|&b| !converged(b)).collect();
-                for b in (0..w).filter(|&b| converged(b)) {
+            let sweep = ApplySweep {
+                d: self.cfg.damping,
+                p: &p,
+                rank: &rank,
+                inv_deg: &prep.inv_deg,
+                dangling: &dangling[..w],
+            };
+            let ranges = &prep.thread_dsts;
+            let outs = job_rows(&mut next_rank, ranges, w).zip(job_rows(&mut next_x, ranges, w));
+            let mut jobs: Vec<Apply> = outs
+                .map(|(next_rank, next_x)| Apply {
+                    sweep: &sweep,
+                    next_rank,
+                    next_x,
+                    delta: vec![0.0; w],
+                })
+                .collect();
+            self.ws.sweep(&x, w, &mut jobs);
+            // Each member's L1 delta, summed job by job; the ascending-order
+            // sum decides wherever the order could.
+            let delta: Vec<f64> =
+                (0..w).map(|b| jobs.iter().fold(0.0f64, |sum, job| sum + job.delta[b])).collect();
+            drop(jobs);
+            let converged: Vec<bool> = (0..w)
+                .map(|b| {
+                    self.cfg.tolerance.is_some_and(|tol| {
+                        surely_below(delta[b], n, tol as f64)
+                            .unwrap_or_else(|| l1_delta(&next_rank, &rank, w, b) < tol as f64)
+                    })
+                })
+                .collect();
+            std::mem::swap(&mut rank, &mut next_rank);
+            std::mem::swap(&mut x, &mut next_x);
+            if converged.contains(&true) {
+                let keep: Vec<usize> = (0..w).filter(|&b| !converged[b]).collect();
+                for b in (0..w).filter(|&b| converged[b]) {
                     results[live[b]] = Some(member_result(&rank, w, b, iter, true));
                 }
                 repack(&mut p, w, &keep);
                 repack(&mut rank, w, &keep);
+                repack(&mut x, w, &keep);
                 live = keep.iter().map(|&b| live[b]).collect();
                 w = keep.len();
-                x.truncate(w * n);
-                y.truncate(w * n);
+                next_rank.truncate(w * n);
+                next_x.truncate(w * n);
             }
         }
         for (b, &member) in live.iter().enumerate() {
             results[member] = Some(member_result(&rank, w, b, self.cfg.iterations, false));
         }
         results.into_iter().map(|r| r.expect("every member finishes")).collect()
+    }
+}
+
+/// Member `b`'s dangling mass in a `w`-wide interleaved rank batch: the f64
+/// sum over the dangling vertices in ascending order (the order of a full
+/// `0..n` scan), rounded to f32 as the update uses it.
+fn dangling_mass(dangling: &[u32], rank: &[f32], w: usize, b: usize) -> f32 {
+    dangling.iter().fold(0.0f64, |sum, &v| sum + rank[v as usize * w + b] as f64) as f32
+}
+
+/// Member `b`'s L1 rank delta between two `w`-wide interleaved batches: the
+/// f64 sum of `|new − old|` over the vertices in ascending order.
+fn l1_delta(new: &[f32], old: &[f32], w: usize, b: usize) -> f64 {
+    let terms = new.iter().zip(old).skip(b).step_by(w);
+    terms.fold(0.0f64, |sum, (&r, &o)| sum + (r - o).abs() as f64)
+}
+
+/// Whether the ascending-order f64 sum of `m` non-negative terms lies
+/// below `tol`, judged from `sum`, the same terms added in another order;
+/// `None` when the two orders might disagree. Each order is within
+/// `(m−1)·u·Σt` of the exact sum (u = 2⁻⁵³, any summation tree; Higham,
+/// *Accuracy and Stability of Numerical Algorithms*, §4.2), so two orders
+/// are within twice that; the slack `2·m·ε·sum = 4·m·u·sum` covers it with
+/// room for `sum` itself being rounded. NaN and infinite sums give a NaN or
+/// infinite slack, which neither comparison accepts.
+fn surely_below(sum: f64, m: usize, tol: f64) -> Option<bool> {
+    let slack = 2.0 * m as f64 * f64::EPSILON * sum;
+    if sum + slack < tol {
+        Some(true)
+    } else if sum - slack >= tol {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// What every pool job of one personalized sweep reads.
+struct ApplySweep<'a> {
+    d: f32,
+    p: &'a [f32],
+    rank: &'a [f32],
+    inv_deg: &'a [f32],
+    /// Each member's dangling mass, already rounded to f32.
+    dangling: &'a [f32],
+}
+
+impl ApplySweep<'_> {
+    /// Lane `b`'s new rank from its pulled sum `y`:
+    /// `(1-d)·p + d·(y + dangling[b]·p)`.
+    #[inline]
+    fn update(&self, y: f32, p: f32, b: usize) -> f32 {
+        (1.0 - self.d) * p + self.d * (y + self.dangling[b] * p)
+    }
+}
+
+/// One pool job's epilogue. For each block of destinations it pulled, it
+/// writes the new ranks and the next sweep's input `new · inv_deg[v]` into
+/// its own rows of `next_rank` and `next_x`, and adds each member's L1
+/// delta terms `|new − old|` over its range.
+struct Apply<'s, 'a> {
+    sweep: &'s ApplySweep<'a>,
+    next_rank: &'a mut [f32],
+    next_x: &'a mut [f32],
+    delta: Vec<f64>,
+}
+
+impl Epilogue for Apply<'_, '_> {
+    #[inline]
+    fn apply(&mut self, dsts: Range<usize>, row: usize, w: usize, sums: &[f32]) {
+        let s = self.sweep;
+        let at = dsts.start * w;
+        let len = sums.len();
+        let (p, old, inv_deg) = (&s.p[at..][..len], &s.rank[at..][..len], &s.inv_deg[dsts]);
+        let next_rank = &mut self.next_rank[row..][..len];
+        let next_x = &mut self.next_x[row..][..len];
+        let outs = next_rank.chunks_exact_mut(w).zip(next_x.chunks_exact_mut(w));
+        let rows = sums.chunks_exact(w).zip(p.chunks_exact(w)).zip(old.chunks_exact(w));
+        for (((ys, ps), olds), (&inv, (ranks, xs))) in rows.zip(inv_deg.iter().zip(outs)) {
+            for b in 0..w {
+                let nv = s.update(ys[b], ps[b], b);
+                (ranks[b], xs[b]) = (nv, nv * inv);
+                self.delta[b] += (nv - olds[b]).abs() as f64;
+            }
+        }
     }
 }
 
@@ -491,7 +613,10 @@ mod tests {
     }
 
     /// The integration corpus of `tests/serve.rs` (indices 0–4), then
-    /// seeded random graphs; the last keeps multi-edges and self-loops.
+    /// seeded random graphs, the last of which keeps multi-edges and
+    /// self-loops, then an edgeless two-vertex graph and a one-vertex graph:
+    /// empty source lists, every vertex dangling, and fewer vertices than
+    /// the proptest's largest thread count.
     fn corpus_graph(i: usize, seed: u64) -> DiGraph {
         use hipa_graph::gen::{barabasi_albert, erdos_renyi, path};
         let edges = match i {
@@ -505,7 +630,7 @@ mod tests {
                 erdos_renyi(n, n * (1 + (seed % 8) as usize), seed)
             }
             6 => barabasi_albert(30 + (seed % 400) as usize, 1 + (seed % 4) as usize, seed),
-            _ => {
+            7 => {
                 let n = 10 + (seed % 200) as u32;
                 let pairs = (0..6 * n).map(|i| {
                     let h =
@@ -514,6 +639,8 @@ mod tests {
                 });
                 hipa_graph::EdgeList::new(n as usize, pairs.map(Into::into).collect())
             }
+            8 => hipa_graph::EdgeList::new(2, Vec::new()),
+            _ => hipa_graph::EdgeList::new(1, Vec::new()),
         };
         DiGraph::from_edge_list(&edges)
     }
@@ -585,6 +712,44 @@ mod tests {
     }
 
     #[test]
+    fn surely_below_decides_only_when_no_order_could_disagree() {
+        // Far from the tolerance either way: decided.
+        assert_eq!(surely_below(1e-9, 1 << 20, 1e-7), Some(true));
+        assert_eq!(surely_below(1e-5, 1 << 20, 1e-7), Some(false));
+        // A sum of zeros is zero in every order, and zero is not below zero.
+        assert_eq!(surely_below(0.0, 1 << 20, 1e-7), Some(true));
+        assert_eq!(surely_below(0.0, 1 << 20, 0.0), Some(false));
+        // Within the slack, or not a number: left to the ascending sum.
+        assert_eq!(surely_below(1e-7 * (1.0 + 1e-12), 1 << 20, 1e-7), None);
+        assert_eq!(surely_below(1e-7, 1, 1e-7), None);
+        assert_eq!(surely_below(f64::NAN, 4, 1e-7), None);
+        assert_eq!(surely_below(f64::INFINITY, 4, 1e-7), None);
+    }
+
+    #[test]
+    fn a_delta_equal_to_the_tolerance_takes_the_ascending_sum() {
+        // One dangling vertex, no redistribution: the first sweep moves its
+        // rank from 1 to 1 - d exactly, so the L1 delta is exactly d. With
+        // the tolerance at d the job sums cannot decide, the ascending sum
+        // says "not below", and the member stops after its second sweep.
+        let g = DiGraph::from_edge_list(&hipa_graph::EdgeList::new(1, Vec::new()));
+        let d = 0.85f32;
+        assert_eq!(surely_below(d as f64, 1, d as f64), None);
+        let cfg = PersonalizedConfig {
+            damping: d,
+            tolerance: Some(d),
+            redistribute_dangling: false,
+            threads: 2,
+            ..Default::default()
+        };
+        let mut solver = PprSolver::new(&g, &cfg);
+        let res = solver.solve(&[1.0]);
+        assert_eq!((res.iterations_run, res.converged), (2, true));
+        assert_eq!(res.ranks, vec![1.0 - d]);
+        assert_batch_matches_oracle_and_solo(&g, &mut solver, &[vec![1.0], vec![2.0]]);
+    }
+
+    #[test]
     fn empty_batch_solves_to_nothing() {
         let g = DiGraph::from_edge_list(&cycle(4));
         assert!(PprSolver::new(&g, &PersonalizedConfig::default()).solve_batch(&[]).is_empty());
@@ -598,7 +763,7 @@ mod tests {
         /// freeze pattern (tolerance or cap, dangling mass on or off).
         #[test]
         fn interleaved_batch_is_bitwise_the_oracle(
-            graph in 0usize..8,
+            graph in 0usize..10,
             seed in 0u64..10_000,
             wi in 0usize..7,
             threads in 1usize..4,

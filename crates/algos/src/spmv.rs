@@ -22,12 +22,18 @@
 //! entry point [`spmv_partition_centric`] is a thin wrapper that builds a
 //! workspace, runs once, and drops it — bitwise-identical output.
 //!
-//! disjointness: destination ranges (`dst_ranges`) — each pool job writes
-//! the `y` entries `v*w..(v+1)*w` of the destinations in its own contiguous
-//! range `PcpmPrepared::thread_dsts[j]` and only reads `x`, so every output
-//! element has a single writer job (= thread) per slice lifetime.
+//! There is one pull loop, `pull_rows`, and it hands each block of
+//! destinations' sums to an epilogue: `run_batch_into` stores them, and
+//! personalized PageRank (`crate::ppr`) applies its whole per-sweep update
+//! there, on the job that pulled the block, so a sweep needs no serial pass
+//! over the vertices afterwards.
+//!
+//! Disjointness is structural: the destination ranges
+//! `PcpmPrepared::thread_dsts` are contiguous and ascending, so every
+//! per-vertex output buffer splits (`job_rows`, by `split_at_mut`) into one
+//! `&mut` part per pool job, and each job's epilogue writes only its own
+//! part while every job reads `x`.
 
-use hipa_core::disjoint::SharedSlice;
 use hipa_core::PcpmPrepared;
 use hipa_graph::DiGraph;
 use std::ops::Range;
@@ -107,68 +113,131 @@ impl SpmvWorkspace {
     /// Each vector's output is bitwise identical to a solo [`run`](Self::run)
     /// on the same input.
     pub fn run_batch_into(&mut self, xs: &[f32], ys: &mut [f32], width: usize) {
-        let n = self.prepared.num_vertices;
-        assert_eq!(xs.len(), width * n, "input batch length mismatch");
-        assert_eq!(ys.len(), width * n, "output batch length mismatch");
-        if n == 0 || width == 0 {
+        assert_eq!(ys.len(), xs.len(), "output batch length mismatch");
+        let ranges = &self.prepared.thread_dsts;
+        let mut jobs: Vec<Store> = job_rows(ys, ranges, width).map(Store).collect();
+        self.sweep(xs, width, &mut jobs);
+    }
+
+    /// One pull sweep over `width` vertex-interleaved input vectors. Pool
+    /// job `j` pulls the destinations `thread_dsts[j]` in ascending order
+    /// and hands their sums to its own epilogue `jobs[j]`. One pool scope:
+    /// every epilogue is done when this returns.
+    pub(crate) fn sweep<E: Epilogue + Send>(&self, xs: &[f32], width: usize, jobs: &mut [E]) {
+        let prep = &*self.prepared;
+        assert_eq!(xs.len(), width * prep.num_vertices, "input batch length mismatch");
+        assert_eq!(jobs.len(), prep.thread_dsts.len(), "one epilogue per pool job");
+        if prep.num_vertices == 0 || width == 0 {
             return;
         }
-        let prep = &*self.prepared;
-        let y_s = SharedSlice::new(ys);
         // The widest power-of-two chunk, up to 32 lanes, that fits the row.
-        let pull = |dsts: Range<usize>| match width {
-            1 => pull_rows::<1>(prep, xs, &y_s, dsts, 1),
-            2..=3 => pull_rows::<2>(prep, xs, &y_s, dsts, width),
-            4..=7 => pull_rows::<4>(prep, xs, &y_s, dsts, width),
-            8..=15 => pull_rows::<8>(prep, xs, &y_s, dsts, width),
-            16..=31 => pull_rows::<16>(prep, xs, &y_s, dsts, width),
-            _ => pull_rows::<32>(prep, xs, &y_s, dsts, width),
+        let pull = |dsts: Range<usize>, job: &mut E| match width {
+            1 => pull_rows::<1, E>(prep, xs, dsts, 1, job),
+            2..=3 => pull_rows::<2, E>(prep, xs, dsts, width, job),
+            4..=7 => pull_rows::<4, E>(prep, xs, dsts, width, job),
+            8..=15 => pull_rows::<8, E>(prep, xs, dsts, width, job),
+            16..=31 => pull_rows::<16, E>(prep, xs, dsts, width, job),
+            _ => pull_rows::<32, E>(prep, xs, dsts, width, job),
         };
+        let mut work = prep.thread_dsts.iter().cloned().zip(jobs);
+        // The calling thread pulls the first range itself, so a sweep wakes
+        // one worker fewer than it has ranges.
+        let (dsts, job) = work.next().expect("at least one range");
         match &self.pool {
             Some(pool) => pool.scope(|s| {
-                for dsts in prep.thread_dsts.iter().cloned() {
+                for (dsts, job) in work {
                     let pull = &pull;
-                    s.spawn(move |_| pull(dsts));
+                    s.spawn(move |_| pull(dsts, job));
                 }
+                pull(dsts, job);
             }),
-            None => prep.thread_dsts.iter().cloned().for_each(pull),
+            None => {
+                pull(dsts, job);
+                work.for_each(|(dsts, job)| pull(dsts, job));
+            }
         }
     }
 }
 
+/// Splits a `w`-wide interleaved per-vertex buffer into the rows of each
+/// destination range in `ranges` (contiguous, ascending, from vertex 0, as
+/// [`PcpmPrepared::thread_dsts`]): one disjoint `&mut` part per pool job.
+pub(crate) fn job_rows<'a>(
+    buf: &'a mut [f32],
+    ranges: &'a [Range<usize>],
+    w: usize,
+) -> impl Iterator<Item = &'a mut [f32]> {
+    let mut rest = buf;
+    ranges.iter().map(move |r| {
+        let (rows, tail) = std::mem::take(&mut rest).split_at_mut(r.len() * w);
+        rest = tail;
+        rows
+    })
+}
+
+/// What a sweep does with the sums it pulls; one value per pool job, each
+/// owning the output rows of its job's destination range. [`pull_rows`]
+/// sums a block of consecutive destinations at a time and calls `apply`
+/// once per block, in ascending order: `sums[i * w + b]` is lane `b`'s sum
+/// at destination `dsts.start + i`, and `row` is the offset of that
+/// block's first element within the job's rows.
+pub(crate) trait Epilogue {
+    fn apply(&mut self, dsts: Range<usize>, row: usize, w: usize, sums: &[f32]);
+}
+
+/// The plain SpMV epilogue: store the sums into the job's rows of `y`.
+struct Store<'a>(&'a mut [f32]);
+
+impl Epilogue for Store<'_> {
+    #[inline]
+    fn apply(&mut self, _: Range<usize>, row: usize, _: usize, sums: &[f32]) {
+        self.0[row..][..sums.len()].copy_from_slice(sums);
+    }
+}
+
+/// Sums per epilogue block: 4 KiB, so a block's sums and the rows an
+/// epilogue reads and writes for it stay in the L1 cache.
+const BLOCK_SUMS: usize = 1024;
+
 /// The pull for one destination range at batch width `w >= C`. Each
 /// destination walks its source list once per `C`-lane chunk of its row,
 /// summing the chunk into a register accumulator in list order and storing
-/// it once. When `C` does not divide `w`, the last chunk ends at the row's
-/// end and overlaps its predecessor: the shared lanes are summed again in
-/// the same order, to the same bits, by the same job. Lanes never mix, so
-/// the chunking changes no result bit.
-fn pull_rows<const C: usize>(
+/// it into the block's sums; each full block goes to `epilogue`. When `C`
+/// does not divide `w`, the last chunk ends at the row's end and overlaps
+/// its predecessor: the shared lanes are summed again in the same order, to
+/// the same bits, by the same job. Lanes never mix, so the chunking changes
+/// no result bit.
+fn pull_rows<const C: usize, E: Epilogue>(
     prep: &PcpmPrepared,
     xs: &[f32],
-    y_s: &SharedSlice<'_, f32>,
     dsts: Range<usize>,
     w: usize,
+    epilogue: &mut E,
 ) {
     // One-lane chunks serve only the solo sweep: a constant stride there.
     let w = if C == 1 { 1 } else { w };
     let chunks = w.div_ceil(C);
-    for v in dsts {
-        let srcs = prep.sources_of(v);
-        for k in 0..chunks {
-            let lane = (k * C).min(w - C);
-            let mut acc = [0.0f32; C];
-            for &s in srcs {
-                let row: &[f32; C] = xs[s as usize * w + lane..][..C].try_into().expect("C lanes");
-                for (a, &x) in acc.iter_mut().zip(row) {
-                    *a += x;
+    let per_block = (BLOCK_SUMS / w).max(1);
+    let mut sums = vec![0.0f32; per_block * w];
+    for start in dsts.clone().step_by(per_block) {
+        let block = start..(start + per_block).min(dsts.end);
+        for (v, row) in block.clone().zip(sums.chunks_exact_mut(w)) {
+            let srcs = prep.sources_of(v);
+            for k in 0..chunks {
+                let lane = (k * C).min(w - C);
+                let mut acc = [0.0f32; C];
+                for &s in srcs {
+                    let x: &[f32; C] =
+                        xs[s as usize * w + lane..][..C].try_into().expect("C lanes");
+                    for (a, &x) in acc.iter_mut().zip(x) {
+                        *a += x;
+                    }
                 }
-            }
-            for (b, &a) in acc.iter().enumerate() {
-                // SAFETY: `v` lies in this job's own destination range.
-                unsafe { y_s.write(v * w + lane + b, a) };
+                row[lane..lane + C].copy_from_slice(&acc);
             }
         }
+        let len = block.len() * w;
+        epilogue.apply(block, (start - dsts.start) * w, w, &sums[..len]);
     }
 }
 

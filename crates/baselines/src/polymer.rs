@@ -1,5 +1,5 @@
 //! Polymer-lite: a model of the Polymer NUMA-aware vertex-centric system
-//! (Zhang et al., PPoPP'15 — the paper's reference [38]).
+//! (Zhang et al., PPoPP'15 — the paper's reference \[38\]).
 //!
 //! Polymer's key ideas, reproduced here: vertex data and each vertex's
 //! in-edges are placed on the NUMA node that owns the vertex (edge-balanced

@@ -1,6 +1,6 @@
 //! p-PR: hand-optimised partition-centric PageRank, NUMA-oblivious (§4.1).
 //!
-//! The paper's re-implementation of PCPM [21] "with enhancement in memory
+//! The paper's re-implementation of PCPM \[21\] "with enhancement in memory
 //! safety": the same compressed scatter/gather layout HiPa uses, but with
 //! conventional partition-centric execution — interleaved placement, FCFS
 //! partition claiming, per-region thread pools. Its finely-tuned parameters

@@ -15,9 +15,14 @@
 //! the "K builds vs exactly 1" claim is a measured counter delta, not an
 //! assertion. Batch results are checked bitwise against the naive runs.
 //!
-//! Part 2 (load): a seeded open-loop load run against a fresh server;
-//! throughput, p50/p95/p99 latency per request class, and queue-depth gauges
-//! are exported into a `RunTrace` (written with `--json-out`).
+//! Part 2 (sweep cost): the wall time per sweep of a resident solve at
+//! batch widths 1 and 8, the median of several solves with no tolerance,
+//! so every sweep runs at full width.
+//!
+//! Part 3 (load): a seeded open-loop load run against a fresh server;
+//! throughput, p50/p95/p99 latency per request class, the server's own
+//! per-sweep histogram (`serve.ppr.sweep`), and queue-depth gauges are
+//! exported into a `RunTrace` (written with `--json-out`).
 
 use hipa_algos::{personalized_from_seed, teleport_from_seeds, PersonalizedConfig, PprSolver};
 use hipa_bench::BinArgs;
@@ -180,7 +185,40 @@ fn main() {
     assert_eq!(serve_builds, 1, "server must build exactly once for start + the whole batch");
     drop(server);
 
-    // --- Part 2: seeded open-loop load ----------------------------------
+    // --- Part 2: resident sweep cost -------------------------------------
+    let sweeps = if args.fast { 10 } else { 20 };
+    let rounds = if args.fast { 3 } else { 7 };
+    let fixed = PersonalizedConfig { iterations: sweeps, tolerance: None, ..pcfg.clone() };
+    let mut solver = PprSolver::new(&g, &fixed);
+    let mut sweep_ns = Vec::new();
+    let mut per_sweep = Table::new(
+        &format!(
+            "Resident solve on {}: ms per sweep ({sweeps} sweeps, no tolerance, median of \
+             {rounds} solves, {threads} threads)",
+            ds.name()
+        ),
+        &["width", "ms/sweep", "min", "max"],
+    );
+    for width in [1usize, 8] {
+        let batch = &teleports[..width];
+        let mut ns: Vec<u128> = (0..rounds)
+            .map(|_| {
+                let t = Instant::now();
+                let res = solver.solve_batch(batch);
+                let elapsed = t.elapsed().as_nanos();
+                assert!(res.iter().all(|r| r.iterations_run == sweeps));
+                elapsed / sweeps as u128
+            })
+            .collect();
+        ns.sort_unstable();
+        let median = ns[rounds / 2];
+        per_sweep.row(vec![width.to_string(), ms(median), ms(ns[0]), ms(ns[rounds - 1])]);
+        sweep_ns.push((width, median));
+    }
+    per_sweep.print();
+    drop(solver);
+
+    // --- Part 3: seeded open-loop load ----------------------------------
     let users = flag_usize(&argv, "--users", if args.fast { 4 } else { 8 });
     let requests = flag_usize(&argv, "--requests", if args.fast { 16 } else { 64 });
     let server = Server::start(
@@ -242,6 +280,13 @@ fn main() {
         ]);
     }
     load.print();
+    if !stats.ppr_sweep.is_empty() {
+        println!(
+            "server ppr sweep (serve.ppr.sweep, per batch solve): p50 {} ms  max {} ms",
+            ms(stats.ppr_sweep.quantile(0.50) as u128),
+            ms(stats.ppr_sweep.max() as u128)
+        );
+    }
     println!(
         "errors: {}  epochs: {}  ppr batches: {} ({} sources)  queue depth max: {}",
         stats.errors.get(),
@@ -262,6 +307,7 @@ fn main() {
     }
     if args.csv {
         print!("{}", census.to_csv());
+        print!("{}", per_sweep.to_csv());
         print!("{}", load.to_csv());
     }
 
@@ -275,6 +321,9 @@ fn main() {
     rec.set_counter("serve.census.naive_layout_builds", naive_builds);
     rec.set_counter("serve.census.batch_layout_builds", batch_builds);
     rec.set_counter("serve.census.server_layout_builds", serve_builds);
+    for (width, ns) in sweep_ns {
+        rec.set_counter(&format!("serve.census.sweep_w{width}_ns"), ns as u64);
+    }
     stats.export_into(&rec, report.wall);
     let trace = rec
         .finish(TraceMeta {

@@ -19,7 +19,7 @@
 //!   parallelism is banned outside the instrumented pool, so no thread
 //!   escapes the checker below;
 //! * **dynamically** by the `check-hb` cargo feature: every element
-//!   carries shadow state ([`crate::hb::shadow`]) checked against
+//!   carries shadow state (`crate::hb::shadow`) checked against
 //!   FastTrack-style vector clocks that the rayon shim threads through every
 //!   pool synchronization edge (scope spawn/join, barriers, claim cursors —
 //!   `rayon::hb`). Two *unordered* accesses to one element, at least one a

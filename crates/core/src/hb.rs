@@ -15,7 +15,7 @@
 //!   happens-before everything after every participant's `wait`, which is
 //!   precisely the barrier's guarantee. HiPa's dedicated compute workers
 //!   synchronise through this.
-//! * [`shadow`] — the per-element shadow state backing `SharedSlice`:
+//! * `shadow` — the per-element shadow state backing `SharedSlice`:
 //!   last-write epoch and adaptive read state (a single epoch until two
 //!   unordered readers force promotion to a full read vector clock — the
 //!   FastTrack representation). Tables are

@@ -1,6 +1,6 @@
 //! Partition-centric scatter/gather data layout with inter-edge compression.
 //!
-//! This is the PCPM layout of Lakhotia et al. (ATC'18) — reference [21] of
+//! This is the PCPM layout of Lakhotia et al. (ATC'18) — reference \[21\] of
 //! the paper — which HiPa adopts (§3.4, Fig. 4) and which the `p-PR` and
 //! `GPOP` baselines also use:
 //!

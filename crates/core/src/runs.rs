@@ -231,11 +231,11 @@ pub struct NativeRun {
     pub compute: Duration,
     /// Iterations actually executed. Every engine honours
     /// [`PageRankConfig::tolerance`] through the shared
-    /// [`convergence`](crate::convergence) rule, so this is less than the
+    /// [`convergence`] rule, so this is less than the
     /// `iterations` cap exactly when [`Self::converged`] is true.
     pub iterations_run: usize,
     /// Whether the shared convergence check
-    /// ([`convergence::should_stop`](crate::convergence::should_stop))
+    /// ([`convergence::should_stop`])
     /// fired: the last iteration's L1 rank delta fell below the configured
     /// tolerance. Always `false` when no (valid) tolerance was set.
     pub converged: bool,

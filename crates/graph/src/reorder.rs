@@ -1,7 +1,7 @@
 //! Graph reordering — the §2.1 toolbox for *temporal* locality.
 //!
 //! The paper's background discusses concentrating hot vertices through
-//! reordering (its reference [9], "A closer look at lightweight graph
+//! reordering (its reference \[9\], "A closer look at lightweight graph
 //! reordering"). These utilities produce relabelled graphs so the effect of
 //! vertex order on the partition census and on engine performance can be
 //! studied (see the `reordering` example and bench):

@@ -162,11 +162,6 @@ impl SimMachine {
         PoolId(self.pools.len() - 1)
     }
 
-    /// The logical CPUs a pool's threads ended up on.
-    pub fn pool_cpus(&self, pool: PoolId) -> &[LogicalCpu] {
-        &self.pools[pool.0].cpus
-    }
-
     /// Runs one barrier-synchronised parallel phase with static work
     /// assignment: `f(i, ctx)` is invoked once per thread `i` in the pool.
     pub fn phase<F>(&mut self, pool: PoolId, f: F)
@@ -265,11 +260,6 @@ impl SimMachine {
         self.cycles
     }
 
-    /// Simulated wall time in seconds.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.cycles / (self.spec.cost.ghz * 1e9)
-    }
-
     pub fn counters(&self) -> &MemCounters {
         &self.mem
     }
@@ -300,17 +290,6 @@ impl SimMachine {
             phases: self.phases.len() as u64,
             bandwidth_bound_phases: self.phases.iter().filter(|p| p.bandwidth_bound).count() as u64,
         }
-    }
-
-    /// Clears counters and the wall clock (cache contents survive). Used by
-    /// harnesses that warm up before measuring, mirroring the paper's
-    /// averaging over repeated runs.
-    pub fn reset_measurement(&mut self) {
-        self.mem = MemCounters::default();
-        self.cycles = 0.0;
-        self.phases.clear();
-        self.threads_created = 0;
-        self.migrations = 0;
     }
 }
 

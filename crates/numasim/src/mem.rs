@@ -183,11 +183,6 @@ impl AddressSpace {
         *p as usize
     }
 
-    /// Number of regions allocated so far.
-    pub fn num_regions(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Owning node of `offset` within a region (fast path: no search).
     /// Untouched first-touch pages read as node 0.
     #[inline]
@@ -207,11 +202,6 @@ impl AddressSpace {
 
     pub fn region_name(&self, r: RegionId) -> &str {
         &self.regions[r.0].name
-    }
-
-    /// Total bytes allocated across regions.
-    pub fn total_bytes(&self) -> usize {
-        self.regions.iter().map(|r| r.len).sum()
     }
 
     pub fn nodes(&self) -> usize {

@@ -187,12 +187,6 @@ impl MachineSpec {
         self.topology = self.topology.with_sockets(n);
         self
     }
-
-    /// Replaces the placement-model seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 #[cfg(test)]

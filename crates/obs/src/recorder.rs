@@ -104,7 +104,7 @@ impl Recorder {
     }
 
     /// Ends a span begun with [`start`](Self::start), recording elapsed
-    /// nanoseconds. Pass [`RUN_LEVEL`] for `thread`/`iter` when the sample
+    /// nanoseconds. Pass [`RUN_LEVEL`](crate::RUN_LEVEL) for `thread`/`iter` when the sample
     /// is not per-thread / per-iteration.
     pub fn end(&self, start: SpanStart, phase: &str, thread: i64, iter: i64) {
         if let (Some(buf), Some(t0)) = (&self.inner, start.0) {

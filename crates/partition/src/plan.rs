@@ -115,11 +115,6 @@ impl HiPaPlan {
             .expect("vertex outside every node range")
     }
 
-    /// Total number of threads across all nodes.
-    pub fn total_threads(&self) -> usize {
-        self.nodes.iter().map(|n| n.threads.len()).sum()
-    }
-
     /// Iterates `(node_index, thread_index_in_node, &ThreadPlan)` in global
     /// thread order (node-major — the order engines create their pools in).
     pub fn threads(&self) -> impl Iterator<Item = (usize, usize, &ThreadPlan)> {

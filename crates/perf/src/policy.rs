@@ -102,6 +102,7 @@ mod tests {
         for adv in [
             "serve.ppr.p99_ns",
             "serve.census.naive_ns",
+            "serve.census.sweep_w8_ns",
             "serve.throughput_rps",
             "pool.steals",
             "pool.width",

@@ -25,10 +25,6 @@ impl Table {
         self
     }
 
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders with aligned columns (first column left, rest right).
     pub fn render(&self) -> String {
         let cols = self.header.len();

@@ -24,7 +24,7 @@ use hipa_algos::{
 use hipa_core::PcpmPrepared;
 use hipa_graph::{DiGraph, EdgeList};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Server construction parameters.
@@ -102,8 +102,11 @@ struct TicketInner {
 }
 
 impl TicketInner {
+    /// Stores the response and wakes the waiter. Tolerates a poisoned slot:
+    /// a `Reply` dropped while its thread unwinds fills its ticket through
+    /// here, and a second panic there would abort the process.
     fn fill(&self, resp: Response) {
-        *self.slot.lock().expect("ticket slot poisoned") = Some(resp);
+        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(resp);
         self.cv.notify_all();
     }
 }
@@ -147,10 +150,35 @@ enum Job {
     AddEdges { edges: Vec<(u32, u32)> },
 }
 
-/// Where and since when a queued request awaits its response.
+/// Where and since when a queued request awaits its response. A `Reply`
+/// dropped without an answer (a batch that unwinds, a queue dropped with
+/// work in it) fills its ticket with [`Response::Error`], so every ticket
+/// resolves. `answered` records the answer on the reply itself: the slot
+/// cannot tell, because the client may already have taken the answer out.
 struct Reply {
     ticket: Arc<TicketInner>,
     submitted: Instant,
+    answered: bool,
+}
+
+impl Reply {
+    fn new(ticket: &Arc<TicketInner>, submitted: Instant) -> Self {
+        Reply { ticket: Arc::clone(ticket), submitted, answered: false }
+    }
+
+    fn answer(mut self, resp: Response) {
+        self.ticket.fill(resp);
+        self.answered = true;
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.answered {
+            let message = "the server dropped this request without answering it".to_string();
+            self.ticket.fill(Response::Error { message });
+        }
+    }
 }
 
 struct Pending {
@@ -338,7 +366,7 @@ impl Server {
         };
         {
             let mut q = self.shared.queue.lock().unwrap();
-            let reply = Reply { ticket: Arc::clone(&ticket), submitted };
+            let reply = Reply::new(&ticket, submitted);
             q.pending.push_back(Pending { job, reply });
         }
         self.shared.cv.notify_all();
@@ -394,7 +422,7 @@ fn respond(
         shared.stats.errors.incr();
     }
     hist(&shared.stats).record(reply.submitted.elapsed().as_nanos() as u64);
-    reply.ticket.fill(resp);
+    reply.answer(resp);
 }
 
 fn scheduler_loop(shared: Arc<Shared>, mut state: EpochState, cfg: ServeConfig) {
@@ -775,6 +803,32 @@ mod tests {
         // One sweep-time sample per batch solve.
         let stats = server.stats();
         assert_eq!(stats.ppr_sweep.count(), stats.ppr_batches.get());
+    }
+
+    fn ticket_and_reply() -> (Ticket, Reply) {
+        let ticket = Arc::new(TicketInner { slot: Mutex::new(None), cv: Condvar::new() });
+        let reply = Reply::new(&ticket, Instant::now());
+        (Ticket(ticket), reply)
+    }
+
+    #[test]
+    fn dropped_reply_resolves_its_ticket_with_an_error() {
+        let (ticket, reply) = ticket_and_reply();
+        drop(reply);
+        match ticket.wait() {
+            Response::Error { message } => {
+                assert!(message.contains("without answering"), "{message}")
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+
+    #[test]
+    fn answered_reply_keeps_its_answer() {
+        let (ticket, reply) = ticket_and_reply();
+        let resp = Response::EdgesCommitted { accepted: 2, epoch: 7 };
+        reply.answer(resp.clone());
+        assert_eq!(ticket.wait(), resp);
     }
 
     #[test]
